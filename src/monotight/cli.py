@@ -127,6 +127,8 @@ def _cmd_constants(args) -> int:
 
 def _cmd_construct(args) -> int:
     name = args.name
+    if name != "steiner" and args.n is None:
+        raise SystemExit2(f"{name} requires --n")
     if name == "all_red":
         if args.r is None or args.k is None:
             raise SystemExit2("all_red requires --r and --k")
@@ -210,7 +212,6 @@ def _cmd_search(args) -> int:
         "nodes": res.nodes_explored,
         "seconds": res.wall_time,
         "lower_bound": bounds.general_lower_bound(args.n, args.r, args.k, args.t, args.s),
-        "threads": args.threads,
     }
     if args.k == 3 and (args.t, args.s) == (2, 3):
         report["note"] = "exact value is new data for these parameters, not a published one"
@@ -233,10 +234,13 @@ def _cmd_verify(args) -> int:
     elif suite == "blowup":
         report = properties.verify_blowup(trials=args.trials or 200, seed=args.seed)
     elif suite == "r2a":
-        if args.n is not None:
-            report = properties.verify_r2a_suite([(args.n, args.k, args.t, args.s)])
-        else:
+        case = (args.n, args.k, args.t, args.s)
+        if case == (None,) * 4:
             report = properties.verify_r2a_suite()
+        elif None in case:
+            raise SystemExit2("r2a takes all of --n, --k, --t, --s or none of them")
+        else:
+            report = properties.verify_r2a_suite([case])
     else:
         raise SystemExit2(f"unknown verify suite {suite!r}")
     report = {"subcommand": "verify", **report}
@@ -246,6 +250,13 @@ def _cmd_verify(args) -> int:
 
 class SystemExit2(Exception):
     """Invalid input detected outside argparse."""
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,13 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--budget", type=int)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--emit-witness")
     sp.set_defaults(fn=_cmd_search)
 
     sp = sub.add_parser("verify", help="run a named property suite")
     sp.add_argument("suite", choices=["kk", "density", "lowerbound", "blowup", "r2a"])
-    sp.add_argument("--trials", type=int)
+    sp.add_argument("--trials", type=_positive_int)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--n", type=int)
     sp.add_argument("--k", type=int)

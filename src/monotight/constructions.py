@@ -4,28 +4,10 @@ design-induced colorings."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 from .core import Coloring, colex_edges, colex_rank, mask_to_vertices, vertices_to_mask
 from .designs import SteinerSystem
-
-
-@dataclass
-class PartitionSpec:
-    """Named disjoint vertex parts covering {1..n}."""
-
-    n: int
-    parts: dict[str, int]  # role -> vertex bitmask
-
-    def __post_init__(self):
-        union = 0
-        for role, mask in self.parts.items():
-            if union & mask:
-                raise ValueError(f"part {role!r} overlaps an earlier part")
-            union |= mask
-        if union != (1 << self.n) - 1:
-            raise ValueError("parts do not cover {1..n}")
 
 
 def _half_split(n: int) -> tuple[int, int]:
@@ -86,24 +68,17 @@ def blow_up(c0: Coloring, n: int) -> Coloring:
         raise ValueError(f"need n >= n0 = {n0}")
     if n == n0:
         return Coloring(n0, k, c0.r, list(c0.colors))
-    num_parts = n0 - k + 1
-    part_of = [((i - 1) % num_parts) + 1 for i in range(n + 1)]  # 1-based
     base_colors = c0.colors
-    colors = []
-    for e in colex_edges(n, k):
-        parts_mask = 0
-        for v in mask_to_vertices(e):
-            parts_mask |= 1 << (part_of[v] - 1)
-        pad = k - parts_mask.bit_count()
-        # reserved vertices num_parts+1 .. num_parts+pad of the base
-        padded = parts_mask | (((1 << pad) - 1) << num_parts)
-        colors.append(base_colors[colex_rank(padded, n0, k)])
+    colors = [
+        base_colors[colex_rank(padded_index_set(e, n, n0, k), n0, k)]
+        for e in colex_edges(n, k)
+    ]
     return Coloring(n, k, c0.r, colors)
 
 
 def padded_index_set(e: int, n: int, c0_n: int, k: int) -> int:
     """phi(I_e): the padded part-index set of an edge under the blow-up of a
-    base on c0_n vertices (exposed for the intersection invariant check)."""
+    base on c0_n vertices; `blow_up` colors the edge by this base edge."""
     num_parts = c0_n - k + 1
     parts_mask = 0
     for v in mask_to_vertices(e):

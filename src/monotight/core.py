@@ -160,8 +160,8 @@ class Coloring:
 
     def color_class(self, i: int) -> Hypergraph:
         """The hypergraph of edges with color i."""
-        edges = [e for rank, e in enumerate(colex_edges(self.n, self.k)) if self.colors[rank] == i]
-        return Hypergraph(self.n, self.k, edges) if edges else Hypergraph(self.n, self.k, [])
+        masks, _ = color_buckets(self.colors, self.r, colex_edges(self.n, self.k))
+        return Hypergraph(self.n, self.k, masks[i] if 1 <= i <= self.r else [])
 
 
 @dataclass
@@ -251,35 +251,58 @@ def shadow(edges: Iterable[int], s: int) -> ShadowSet:
     return ShadowSet(s, _shadow_members(edges, s, k))
 
 
+def color_buckets(
+    colors: Sequence[int], r: int, edges: Iterable[int]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Edge masks and their colex ranks, bucketed by color.
+
+    `edges` lists every edge in colex order and `colors[rank]` is the color
+    of the edge of that rank. Bucket i holds color i; bucket 0 stays empty.
+    """
+    masks: list[list[int]] = [[] for _ in range(r + 1)]
+    ranks: list[list[int]] = [[] for _ in range(r + 1)]
+    for rank, (mask, col) in enumerate(zip(edges, colors)):
+        masks[col].append(mask)
+        ranks[col].append(rank)
+    return masks, ranks
+
+
+def component_shadows(
+    masks: Sequence[int], t: int, ss: Sequence[int], k: int
+) -> Iterator[tuple[list[int], tuple[int, ...]]]:
+    """Each t-tight component of the k-edges `masks` (edge indices, ordered by
+    first index) with its s-shadow count for every s in `ss`, in that order.
+
+    A generator: a caller that stops early skips the remaining components.
+    """
+    if not masks:
+        return
+    for comp in _component_indices(masks, t):
+        comp_masks = [masks[i] for i in comp]
+        counts = tuple(
+            [len(comp) if s == k else len(_shadow_members(comp_masks, s, k)) for s in ss]
+        )
+        del comp_masks  # not held while the caller works on the component
+        yield comp, counts
+
+
 def measure(c: Coloring, t: int, s: int) -> MeasureResult:
     """Largest s-shadow over monochromatic t-tight components of the coloring.
 
-    Ties are broken by (color index, smallest contained edge rank). Edges are
-    streamed in colex order, so the full edge list of K^k_n is never stored.
+    Ties are broken by (color index, smallest contained edge rank). One colex
+    pass buckets every edge of K^k_n by color, so all C(n, k) edge masks are
+    held at once.
     """
     k = c.k
     if not 1 <= t <= k - 1:
         raise ValueError(f"need 1 <= t <= k-1, got t={t}, k={k}")
     if not 1 <= s <= k:
         raise ValueError(f"need 1 <= s <= k, got s={s}, k={k}")
-    by_color_masks: list[list[int]] = [[] for _ in range(c.r + 1)]
-    by_color_ranks: list[list[int]] = [[] for _ in range(c.r + 1)]
-    colors = c.colors
-    for rank, mask in enumerate(colex_edges(c.n, k)):
-        col = colors[rank]
-        by_color_masks[col].append(mask)
-        by_color_ranks[col].append(rank)
+    by_color_masks, by_color_ranks = color_buckets(c.colors, c.r, colex_edges(c.n, k))
     best: tuple[int, int, frozenset[int]] | None = None
     for col in range(1, c.r + 1):
-        masks = by_color_masks[col]
-        if not masks:
-            continue
         ranks = by_color_ranks[col]
-        for comp in _component_indices(masks, t):
-            if s == k:
-                cnt = len(comp)
-            else:
-                cnt = len(_shadow_members([masks[i] for i in comp], s, k))
+        for comp, (cnt,) in component_shadows(by_color_masks[col], t, (s,), k):
             if best is None or cnt > best[0]:
                 best = (cnt, col, frozenset(ranks[i] for i in comp))
     if best is None:

@@ -14,9 +14,11 @@ from .constructions import blow_up, padded_index_set
 from .core import (
     Coloring,
     Hypergraph,
-    _component_indices,
+    _component_indices,  # unused; perfbench/test_perfbench.py reads properties._component_indices
     _shadow_members,
     colex_edges,
+    color_buckets,
+    component_shadows,
     mask_to_vertices,
     measure,
 )
@@ -39,22 +41,13 @@ def random_hypergraph(n: int, k: int, rng: random.Random) -> Hypergraph:
 def _max_shadow_by_ts(c: Coloring) -> dict[tuple[int, int], int]:
     """measure(c, t, s).value for every valid (t, s), sharing component work."""
     k = c.k
-    by_color: list[list[int]] = [[] for _ in range(c.r + 1)]
-    for rank, mask in enumerate(colex_edges(c.n, k)):
-        by_color[c.colors[rank]].append(mask)
-    out: dict[tuple[int, int], int] = {}
-    for t in range(1, k):
-        for s in range(1, k + 1):
-            out[(t, s)] = 0
-    for col in range(1, c.r + 1):
-        masks = by_color[col]
-        if not masks:
-            continue
+    ss = range(1, k + 1)
+    out = {(t, s): 0 for t in range(1, k) for s in ss}
+    by_color, _ = color_buckets(c.colors, c.r, colex_edges(c.n, k))
+    for masks in by_color[1:]:
         for t in range(1, k):
-            for comp in _component_indices(masks, t):
-                comp_masks = [masks[i] for i in comp]
-                for s in range(1, k + 1):
-                    cnt = len(comp_masks) if s == k else len(_shadow_members(comp_masks, s, k))
+            for _, counts in component_shadows(masks, t, ss, k):
+                for s, cnt in zip(ss, counts):
                     if cnt > out[(t, s)]:
                         out[(t, s)] = cnt
     return out
@@ -109,19 +102,13 @@ def verify_density(trials: int = 300, seed: int = 0) -> dict:
         n = rng.randint(k + 1, 10)
         g = random_hypergraph(n, k, rng)
         delta = len(g.edges) / math.comb(n, k)
+        ss = range(1, k + 1)
         for t in range(1, k):
-            comps = _component_indices(g.edges, t)
-            ok = False
-            for comp in comps:
-                comp_masks = [g.edges[i] for i in comp]
-                if all(
-                    (len(comp_masks) if s == k else len(_shadow_members(comp_masks, s, k)))
-                    >= bounds.density_component_bound(n, k, t, s, delta) - SLACK
-                    for s in range(1, k + 1)
-                ):
-                    ok = True
-                    break
-            if not ok:
+            need = [bounds.density_component_bound(n, k, t, s, delta) - SLACK for s in ss]
+            if not any(
+                all(cnt >= lo for cnt, lo in zip(counts, need))
+                for _, counts in component_shadows(g.edges, t, ss, k)
+            ):
                 violations.append({"n": n, "k": k, "t": t, "delta": delta})
     return {"suite": "density", "trials": trials, "seed": seed, "violations": violations}
 

@@ -12,9 +12,10 @@ from itertools import combinations, product
 from . import constructions
 from .core import (
     Coloring,
-    _component_indices,
     _shadow_members,
     colex_edges,
+    color_buckets,
+    component_shadows,
     mask_to_vertices,
     measure,
 )
@@ -82,21 +83,8 @@ def exact_M(
     start = time.perf_counter()
     masks = list(colex_edges(n, k))
     m = len(masks)
-    t_subs = []
-    s_subs = []
-    for mask in masks:
-        vs = mask_to_vertices(mask)
-        t_subs.append(tuple(combinations(vs, t)))
-        if s == k:
-            s_subs.append((mask,))
-        else:
-            sub_masks = []
-            for sub in combinations(vs, s):
-                sm = 0
-                for v in sub:
-                    sm |= 1 << (v - 1)
-                sub_masks.append(sm)
-            s_subs.append(tuple(sub_masks))
+    t_subs = [tuple(combinations(mask_to_vertices(mask), t)) for mask in masks]
+    s_subs = [tuple(_shadow_members((mask,), s, k)) for mask in masks]
 
     best_val, best_col = _initial_incumbent(n, r, k, t, s)
     best_witness = list(best_col.colors)
@@ -220,29 +208,16 @@ def verify_r2a(n: int, k: int, t: int, s: int) -> dict:
     masks = list(colex_edges(n, k))
     m = len(masks)
     target = math.comb(n, s)
-    t_subs = [tuple(combinations(mask_to_vertices(mask), t)) for mask in masks]
     checked = 0
     for bits in range(1 << (m - 1)):
         colors = [1] + [1 + ((bits >> j) & 1) for j in range(m - 1)]
         checked += 1
-        found = False
-        for col in (1, 2):
-            idxs = [i for i in range(m) if colors[i] == col]
-            if not idxs:
-                continue
-            comps = _component_indices([masks[i] for i in idxs], t)
-            for comp in comps:
-                comp_masks = [masks[idxs[j]] for j in comp]
-                if s == k:
-                    cnt = len(comp_masks)
-                else:
-                    cnt = len(_shadow_members(comp_masks, s, k))
-                if cnt == target:
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
+        by_color, _ = color_buckets(colors, 2, masks)
+        if not any(
+            cnt == target
+            for col in (1, 2)
+            for _, (cnt,) in component_shadows(by_color[col], t, (s,), k)
+        ):
             return {
                 "pass": False,
                 "n": n,

@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -99,3 +101,57 @@ def test_deterministic_json(tmp_path, capsys):
     code = main(args)
     second = capsys.readouterr().out
     assert first == second
+
+
+def exit_code(*argv):
+    """main's return code, or the code of the SystemExit argparse raises."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("name", ["majority", "two_clique", "parity", "all_red"])
+def test_construct_without_n_exits_2(tmp_path, capsys, name):
+    argv = ["construct", name, "--out", str(tmp_path / "c.col")]
+    if name == "all_red":
+        argv += ["--k", "3", "--r", "2"]
+    assert exit_code(*argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("given", [["--n", "5"], ["--n", "5", "--k", "4", "--t", "1"], ["--s", "2"]])
+def test_verify_r2a_partial_case_exits_2(capsys, given):
+    assert exit_code("verify", "r2a", *given) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("trials", ["-5", "0", "x"])
+def test_verify_nonpositive_trials_exits_2(capsys, trials):
+    assert exit_code("verify", "kk", "--trials", trials) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_search_has_no_threads_option(capsys):
+    assert exit_code("search", "--n", "4", "--r", "2", "--k", "3", "--t", "1", "--s", "1", "--threads", "2") == 2
+    code, rep = run(capsys, "search", "--n", "4", "--r", "2", "--k", "3", "--t", "1", "--s", "1")
+    assert code == 0
+    assert "threads" not in rep
+
+
+def readme_cli_examples():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("monotight ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    examples = readme_cli_examples()
+    assert len(examples) >= 10
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h.txt").write_text("7 3\n1 2 3\n3 4 5\n5 6 7\n")
+    for line in examples:
+        code = main(shlex.split(line, comments=True)[1:])
+        out = capsys.readouterr().out
+        assert code == 0, line
+        assert isinstance(json.loads(out), dict), line

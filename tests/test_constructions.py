@@ -5,7 +5,6 @@ import pytest
 
 from monotight import bounds
 from monotight.constructions import (
-    PartitionSpec,
     all_red,
     blow_up,
     majority_coloring,
@@ -17,14 +16,6 @@ from monotight.constructions import (
 from monotight.core import colex_edges, measure, t_tight_components, vertices_to_mask
 from monotight.designs import affine_plane, builtin_design, partition_blocks
 from monotight.search import random_coloring
-
-
-def test_partition_spec_validates():
-    PartitionSpec(4, {"a": 0b0011, "b": 0b1100})
-    with pytest.raises(ValueError):
-        PartitionSpec(4, {"a": 0b0111, "b": 0b1100})
-    with pytest.raises(ValueError):
-        PartitionSpec(4, {"a": 0b0011})
 
 
 def test_all_red():

@@ -12,6 +12,8 @@ from monotight.core import (
     colex_edges,
     colex_rank,
     colex_unrank,
+    color_buckets,
+    component_shadows,
     mask_to_vertices,
     measure,
     shadow,
@@ -21,6 +23,8 @@ from monotight.core import (
     _shadow_members,
 )
 from monotight.constructions import all_red, majority_coloring, parity_coloring
+from monotight.properties import _max_shadow_by_ts
+from monotight.search import random_coloring
 
 
 def naive_components(edges, t):
@@ -143,6 +147,33 @@ class TestComponents:
             }
             assert base == other
 
+    def test_component_shadows_matches_components_and_shadow(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            k = rng.choice((3, 4))
+            n = rng.randint(k + 1, 8)
+            edges = [e for e in colex_edges(n, k) if rng.random() < 0.3]
+            t = rng.randint(1, k - 1)
+            ss = range(1, k + 1)
+            got = list(component_shadows(edges, t, ss, k))
+            assert [comp for comp, _ in got] == _component_indices(edges, t)
+            for comp, counts in got:
+                assert counts == tuple(shadow([edges[i] for i in comp], s).count for s in ss)
+
+
+class TestColorBuckets:
+    def test_buckets_partition_the_edges_by_color(self):
+        c = random_coloring(7, 3, 3, seed=5)
+        masks, ranks = color_buckets(c.colors, c.r, colex_edges(7, 3))
+        all_edges = list(colex_edges(7, 3))
+        assert masks[0] == [] and ranks[0] == []
+        for col in range(1, 4):
+            assert ranks[col] == [i for i, x in enumerate(c.colors) if x == col]
+            assert masks[col] == [all_edges[i] for i in ranks[col]]
+            assert c.color_class(col).edges == masks[col]
+        for col in (-1, 0, 4):
+            assert c.color_class(col).edges == []
+
 
 class TestShadow:
     def test_single_edge(self):
@@ -229,9 +260,16 @@ class TestMeasure:
             edges = []
             for e in pool[: rng.randint(2, len(pool))]:
                 edges.append(e)
-                cur = max(
-                    len(c) if s == 3 else len(_shadow_members([edges[i] for i in c], s, 3))
-                    for c in _component_indices(edges, t)
-                )
+                cur = max(cnt for _, (cnt,) in component_shadows(edges, t, (s,), 3))
                 assert cur >= prev
                 prev = cur
+
+    def test_max_shadow_by_ts_matches_measure(self):
+        # the shared-work path of the lowerbound suite against one measure per (t, s)
+        rng = random.Random(23)
+        for k in (3, 4):
+            for r in (2, 3):
+                for _ in range(3):
+                    c = random_coloring(rng.randint(k + 1, 8), r, k, seed=rng.randrange(2**32))
+                    want = {(t, s): measure(c, t, s).value for t in range(1, k) for s in range(1, k + 1)}
+                    assert _max_shadow_by_ts(c) == want
