@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Every run prints one JSON object to stdout. Exit codes: 0 success,
-1 verification failure, 2 invalid input.
+1 verification failure, 2 invalid input, 3 internal error (a bug: one
+"error: internal: ..." line on stderr and nothing on stdout).
 """
 
 from __future__ import annotations
@@ -321,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--budget", type=int)
+    sp.add_argument("--budget", type=_positive_int)
     sp.add_argument("--emit-witness")
     sp.set_defaults(fn=_cmd_search)
 
@@ -346,6 +347,9 @@ def main(argv: list[str] | None = None) -> int:
     except (fileio.FormatError, FileNotFoundError, SystemExit2, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not bad input; exit 1 would read as "violations found"
+        print(f"error: internal: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

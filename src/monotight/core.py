@@ -3,7 +3,9 @@
 Vertices are 1-based. An edge is an integer bitmask with bit v-1 set for
 vertex v; Python integers are arbitrary-width, so the same representation
 covers every n. Edge order is always colex: ranks, witnesses and file
-formats all refer to it.
+formats all refer to it. Colex order of k-subsets is increasing order of
+their bitmasks, so enumeration steps from one mask to the next larger one
+with the same popcount.
 """
 
 from __future__ import annotations
@@ -59,46 +61,42 @@ def colex_unrank(rank: int, n: int, k: int) -> int:
 
 
 def colex_edges(n: int, k: int) -> Iterator[int]:
-    """All k-subsets of {1..n} as bitmasks, in colex order."""
+    """All k-subsets of {1..n} as bitmasks, in colex order.
+
+    Colex order is increasing-mask order, so each mask is followed by the
+    next larger integer with k set bits (Gosper's next-bit-permutation,
+    HAKMEM item 175).
+    """
     if k < 0 or k > n:
         return
     if k == 0:
         yield 0
         return
-    c = list(range(1, k + 1))
-    last = k - 1
-    for _ in range(math.comb(n, k)):
-        yield vertices_to_mask(c)
-        i = 0
-        while i < last and c[i] + 1 == c[i + 1]:
-            c[i] = i + 1
-            i += 1
-        c[i] += 1
+    x = (1 << k) - 1
+    end = 1 << n
+    while x < end:
+        yield x
+        low = x & -x
+        ripple = x + low
+        x = ripple | (((x ^ ripple) >> 2) // low)
 
 
-class UnionFind:
-    """Array-based union-find with path halving and union by size."""
+def _sub_masks(mask: int, j: int) -> list[int]:
+    """The j-subsets of the vertex set `mask`, as masks.
 
-    def __init__(self, num: int):
-        self.parent = list(range(num))
-        self.size = [1] * num
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        x, y = self.find(x), self.find(y)
-        if x == y:
-            return False
-        if self.size[x] < self.size[y]:
-            x, y = y, x
-        self.parent[y] = x
-        self.size[x] += self.size[y]
-        return True
+    j = 1 and j = |mask| - 1 peel the low bits once, yielding each bit or
+    the mask without it; other sizes sum combinations of the bits.
+    """
+    flip = mask if j == mask.bit_count() - 1 else 0
+    if not flip and j != 1:
+        return list(map(sum, combinations(_sub_masks(mask, 1), j)))
+    out = []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        out.append(low ^ flip)
+        rest ^= low
+    return out
 
 
 @dataclass
@@ -193,26 +191,47 @@ class MeasureResult:
     witness_component: frozenset[int]
 
 
-def _component_indices(masks: Sequence[int], t: int) -> list[list[int]]:
+def _component_indices(
+    masks: Sequence[int], t: int, return_keys: bool = False
+) -> list[list[int]] | tuple[list[list[int]], list[list[int]]]:
     """Group edge masks into t-tight components; components sorted by first index.
 
     Edges sharing a t-subset intersect in >= t vertices, so bucketing by
     t-subsets and unioning each bucket realizes the iterated-merge closure.
+    Union-find keeps every root at the smallest edge index of its set, so
+    parent[i] <= i and one ascending pass flattens the forest.
+
+    With `return_keys`, also returns each component's distinct t-subsets
+    (as masks), aligned with the components: the t-shadow of the component.
     """
-    uf = UnionFind(len(masks))
-    buckets: dict[tuple[int, ...], int] = {}
+    parent = list(range(len(masks)))
+    first: dict[int, int] = {}  # t-subset mask -> first edge index holding it
+    setdefault = first.setdefault
     for idx, mask in enumerate(masks):
-        vs = mask_to_vertices(mask)
-        for sub in combinations(vs, t):
-            prev = buckets.get(sub)
-            if prev is None:
-                buckets[sub] = idx
-            else:
-                uf.union(prev, idx)
+        root = idx
+        for key in _sub_masks(mask, t):
+            prev = setdefault(key, idx)
+            if prev == idx:
+                continue
+            while parent[prev] != prev:
+                parent[prev] = prev = parent[parent[prev]]
+            if prev < root:
+                parent[root] = root = prev
+            elif prev > root:
+                parent[prev] = root
     groups: dict[int, list[int]] = {}
-    for idx in range(len(masks)):
-        groups.setdefault(uf.find(idx), []).append(idx)
-    return sorted(groups.values(), key=lambda g: g[0])
+    for idx in range(len(parent)):
+        root = parent[idx] = parent[parent[idx]]
+        if root == idx:
+            groups[idx] = [idx]
+        else:
+            groups[root].append(idx)
+    if not return_keys:
+        return list(groups.values())
+    keys: dict[int, list[int]] = {root: [] for root in groups}
+    for key, idx in first.items():
+        keys[parent[idx]].append(key)
+    return list(groups.values()), list(keys.values())
 
 
 def t_tight_components(h: Hypergraph, t: int) -> ComponentPartition:
@@ -228,12 +247,7 @@ def _shadow_members(masks: Iterable[int], s: int, k: int) -> set[int]:
         members.update(masks)
         return members
     for mask in masks:
-        vs = mask_to_vertices(mask)
-        for sub in combinations(vs, s):
-            m = 0
-            for v in sub:
-                m |= 1 << (v - 1)
-            members.add(m)
+        members.update(_sub_masks(mask, s))
     return members
 
 
@@ -277,13 +291,29 @@ def component_shadows(
     """
     if not masks:
         return
-    for comp in _component_indices(masks, t):
-        comp_masks = [masks[i] for i in comp]
-        counts = tuple(
-            [len(comp) if s == k else len(_shadow_members(comp_masks, s, k)) for s in ss]
-        )
+    # An s-subset of an edge with s <= t lies in one of its t-subsets, so
+    # for s <= t the shadow comes from the component's t-subset keys.
+    if min(ss, default=k) <= t:
+        comps, comp_keys = _component_indices(masks, t, return_keys=True)
+    else:
+        comps = _component_indices(masks, t)
+        comp_keys = [None] * len(comps)
+    for comp, keys in zip(comps, comp_keys):
+        comp_masks = None
+        counts = []
+        for s in ss:
+            if s == k:
+                counts.append(len(comp))
+            elif s == t:
+                counts.append(len(keys))
+            elif s < t:
+                counts.append(len(_shadow_members(keys, s, t)))
+            else:
+                if comp_masks is None:
+                    comp_masks = [masks[i] for i in comp]
+                counts.append(len(_shadow_members(comp_masks, s, k)))
         del comp_masks  # not held while the caller works on the component
-        yield comp, counts
+        yield comp, tuple(counts)
 
 
 def measure(c: Coloring, t: int, s: int) -> MeasureResult:

@@ -11,6 +11,7 @@ comments everywhere.
 from __future__ import annotations
 
 import math
+from itertools import chain, islice
 from typing import Iterable, TextIO
 
 from .core import Coloring, Hypergraph, colex_rank, mask_to_vertices, vertices_to_mask
@@ -21,8 +22,11 @@ class FormatError(ValueError):
     """Malformed input file; message carries the offending line number."""
 
 
-def _data_lines(fh: TextIO) -> Iterable[tuple[int, str]]:
-    for lineno, raw in enumerate(fh, start=1):
+_CHUNK = 1 << 14  # lines per bulk conversion in read_coloring
+
+
+def _data_lines(raw_lines: Iterable[str], start: int = 1) -> Iterable[tuple[int, str]]:
+    for lineno, raw in enumerate(raw_lines, start=start):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -67,9 +71,11 @@ def read_hypergraph(fh: TextIO) -> Hypergraph:
 
 
 def write_coloring(c: Coloring, fh: TextIO) -> None:
-    fh.write(f"{c.n} {c.k} {c.r}\n")
-    for col in c.colors:
-        fh.write(f"{col}\n")
+    # each line is a table lookup, which needs every color in [1, r]
+    if c.colors and not (1 <= min(c.colors) and max(c.colors) <= c.r):
+        raise ValueError(f"colors must lie in [1, {c.r}]")
+    lines = [f"{col}\n" for col in range(c.r + 1)]
+    fh.write(f"{c.n} {c.k} {c.r}\n" + "".join([lines[col] for col in c.colors]))
 
 
 def read_coloring(fh: TextIO) -> Coloring:
@@ -83,10 +89,21 @@ def read_coloring(fh: TextIO) -> Coloring:
         raise FormatError(f"line {lineno}: header must be 'n k r'")
     n, k, r = vals
     m = math.comb(n, k)
+    # Fast path: int() parses a raw line exactly when the loop below would
+    # read it as one compact color, so runs of such lines convert in bulk.
+    # The first other line hands over to the loop, at its own line number.
     compact: list[int] = []
+    rest: Iterable[str] = ()
+    while chunk := list(islice(fh, _CHUNK)):
+        done = len(compact)
+        try:
+            compact.extend(map(int, chunk))
+        except ValueError:
+            rest = chain(chunk[len(compact) - done :], fh)
+            break
     explicit: dict[int, int] = {}
-    mode = None
-    for lineno, line in lines:
+    mode = "compact" if compact else None
+    for lineno, line in _data_lines(rest, start=lineno + len(compact) + 1):
         vs = _ints(line, lineno)
         if len(vs) == 1:
             kind = "compact"

@@ -21,6 +21,7 @@ from .core import (
 )
 
 _MISSING = object()
+R2A_MAX_EDGES = 25  # verify_r2a enumerates 2^(C(n,k)-1) colorings
 
 
 @dataclass
@@ -199,14 +200,20 @@ def verify_r2a(n: int, k: int, t: int, s: int) -> dict:
     t-tight component with complete s-shadow (requires 2*max(t,s) <= k).
 
     Iterates all colorings with the first edge fixed red (color-swap
-    symmetry). Returns a report dict; 'counterexample' is None on pass.
+    symmetry), so at most 2^(R2A_MAX_EDGES - 1) of them; larger cases raise
+    ValueError. Returns a report dict; 'counterexample' is None on pass.
     """
     if 2 * max(t, s) > k:
         raise ValueError(f"hypothesis 2*max(t,s) <= k violated: t={t}, s={s}, k={k}")
     if not 1 <= t <= k - 1 or not 1 <= s <= k or k > n:
         raise ValueError("parameter range violation")
+    m = math.comb(n, k)
+    if m > R2A_MAX_EDGES:
+        raise ValueError(
+            f"C({n},{k}) = {m} edges exceeds {R2A_MAX_EDGES}: "
+            f"2^{m - 1} colorings are too many to enumerate"
+        )
     masks = list(colex_edges(n, k))
-    m = len(masks)
     target = math.comb(n, s)
     checked = 0
     for bits in range(1 << (m - 1)):

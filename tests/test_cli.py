@@ -155,3 +155,27 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
         out = capsys.readouterr().out
         assert code == 0, line
         assert isinstance(json.loads(out), dict), line
+
+
+def test_uncaught_exception_exits_3_with_one_stderr_line(capsys):
+    # C(46, 2) = 1035 edges: exact_M's per-edge recursion passes Python's limit
+    code = exit_code("search", "--n", "46", "--r", "2", "--k", "2", "--t", "1", "--s", "2", "--budget", "5000")
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("budget", ["0", "-1", "x"])
+def test_search_nonpositive_budget_exits_2(capsys, budget):
+    assert exit_code("search", "--n", "4", "--r", "2", "--k", "3", "--t", "1", "--s", "1", "--budget", budget) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_r2a_oversized_case_exits_2(capsys):
+    # C(8, 4) = 70 edges would mean 2^69 colorings
+    assert exit_code("verify", "r2a", "--n", "8", "--k", "4", "--t", "1", "--s", "2") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "C(8,4) = 70" in captured.err

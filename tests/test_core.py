@@ -21,6 +21,7 @@ from monotight.core import (
     vertices_to_mask,
     _component_indices,
     _shadow_members,
+    _sub_masks,
 )
 from monotight.constructions import all_red, majority_coloring, parity_coloring
 from monotight.properties import _max_shadow_by_ts
@@ -72,6 +73,20 @@ class TestColexRanking:
         for n, k in [(5, 3), (7, 2), (8, 4), (6, 6)]:
             ranks = [colex_rank(e, n, k) for e in colex_edges(n, k)]
             assert ranks == list(range(math.comb(n, k)))
+
+    def test_colex_edges_is_increasing_mask_order(self):
+        for n in range(11):
+            for k in range(n + 1):
+                want = sorted(sum(1 << (v - 1) for v in c) for c in combinations(range(1, n + 1), k))
+                assert list(colex_edges(n, k)) == want, (n, k)
+        assert list(colex_edges(3, 4)) == [] and list(colex_edges(3, -1)) == []
+
+    def test_sub_masks_are_the_j_subsets(self):
+        for mask in (0b1, 0b11, 0b1011, 0b110101, 0b11111):
+            vs = mask_to_vertices(mask)
+            for j in range(len(vs) + 1):
+                want = sorted(vertices_to_mask(c) for c in combinations(vs, j))
+                assert sorted(_sub_masks(mask, j)) == want, (mask, j)
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -157,6 +172,11 @@ class TestComponents:
             ss = range(1, k + 1)
             got = list(component_shadows(edges, t, ss, k))
             assert [comp for comp, _ in got] == _component_indices(edges, t)
+            comps, keys = _component_indices(edges, t, return_keys=True)
+            assert comps == _component_indices(edges, t)
+            for comp, comp_keys in zip(comps, keys):
+                assert len(comp_keys) == len(set(comp_keys))
+                assert set(comp_keys) == shadow([edges[i] for i in comp], t).members
             for comp, counts in got:
                 assert counts == tuple(shadow([edges[i] for i in comp], s).count for s in ss)
 

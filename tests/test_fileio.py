@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from monotight import fileio
 from monotight.constructions import majority_coloring
 from monotight.core import Coloring, Hypergraph
 from monotight.designs import builtin_design
@@ -90,3 +91,43 @@ def test_format_error_carries_line_number():
     with pytest.raises(FormatError) as exc:
         read_hypergraph(io.StringIO("5 3\n1 2 3\nx y z\n"))
     assert "line 3" in str(exc.value)
+
+
+def test_write_coloring_golden():
+    buf = io.StringIO()
+    write_coloring(Coloring(4, 3, 3, [1, 3, 2, 1]), buf)
+    assert buf.getvalue() == "4 3 3\n1\n3\n2\n1\n"
+
+
+@pytest.mark.parametrize("bad", [0, -1, 4])
+def test_write_coloring_refuses_colors_outside_range(bad):
+    c = Coloring(4, 3, 3, [1, 3, 2, 1])
+    c.colors[2] = bad  # the dataclass validates only at construction
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="colors must lie in"):
+        write_coloring(c, buf)
+    assert buf.getvalue() == ""
+
+
+def test_compact_coloring_with_comments_and_blank_lines():
+    text = "# header next\n4 3 2\n1\n# between colors\n\n2\n  1  \n\n2\n# end\n"
+    assert read_coloring(io.StringIO(text)).colors == [1, 2, 1, 2]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 14])
+def test_compact_reader_names_the_bad_line(monkeypatch, chunk):
+    monkeypatch.setattr(fileio, "_CHUNK", chunk)
+    with pytest.raises(FormatError) as exc:
+        read_coloring(io.StringIO("4 3 2\n1\n2\n1x\n2\n"))
+    assert "line 4" in str(exc.value) and "1x" in str(exc.value)
+    with pytest.raises(FormatError) as exc:
+        read_coloring(io.StringIO("4 3 2\n1\n# c\n2\nx\n2\n"))
+    assert "line 5" in str(exc.value)
+    text = "4 3 2\n" + "1\n" * 3 + "# c\n1\n"
+    assert read_coloring(io.StringIO(text)).colors == [1, 1, 1, 1]
+
+
+def test_coloring_rejects_explicit_then_compact():
+    with pytest.raises(FormatError) as exc:
+        read_coloring(io.StringIO("4 3 2\n1 2 3 1\n2\n1\n1\n"))
+    assert "line 3" in str(exc.value) and "mix" in str(exc.value)

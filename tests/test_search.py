@@ -102,3 +102,11 @@ def test_verify_r2a_small_cases():
 def test_verify_r2a_hypothesis_enforced():
     with pytest.raises(ValueError):
         verify_r2a(6, 3, 2, 2)
+
+
+def test_verify_r2a_refuses_more_than_25_edges():
+    # C(8, 2) = 28 is the smallest valid case above the cap of 2^24 colorings
+    with pytest.raises(ValueError, match="C\\(8,2\\) = 28"):
+        verify_r2a(8, 2, 1, 1)
+    with pytest.raises(ValueError, match="exceeds 25"):
+        verify_r2a(8, 4, 1, 2)
