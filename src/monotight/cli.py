@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Every run prints one JSON object to stdout. Exit codes: 0 success,
-1 verification failure, 2 invalid input, 3 internal error (a bug: one
-"error: internal: ..." line on stderr and nothing on stdout).
+1 verification failure, 2 invalid input or an unusable file path,
+3 internal error (a bug: one "error: internal: ..." line on stderr and
+nothing on stdout).
 """
 
 from __future__ import annotations
@@ -344,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (fileio.FormatError, FileNotFoundError, SystemExit2, ValueError) as exc:
+    except (fileio.FormatError, OSError, SystemExit2, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a bug, not bad input; exit 1 would read as "violations found"

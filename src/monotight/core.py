@@ -293,11 +293,7 @@ def component_shadows(
         return
     # An s-subset of an edge with s <= t lies in one of its t-subsets, so
     # for s <= t the shadow comes from the component's t-subset keys.
-    if min(ss, default=k) <= t:
-        comps, comp_keys = _component_indices(masks, t, return_keys=True)
-    else:
-        comps = _component_indices(masks, t)
-        comp_keys = [None] * len(comps)
+    comps, comp_keys = _component_indices(masks, t, return_keys=True)
     for comp, keys in zip(comps, comp_keys):
         comp_masks = None
         counts = []

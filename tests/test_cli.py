@@ -179,3 +179,16 @@ def test_verify_r2a_oversized_case_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "C(8,4) = 70" in captured.err
+
+
+@pytest.mark.parametrize("target", ["out", "coloring"])
+def test_unusable_path_exits_2(tmp_path, capsys, target):
+    # a directory where a file is expected raises IsADirectoryError, an OSError
+    if target == "out":
+        argv = ["construct", "all_red", "--n", "4", "--k", "3", "--r", "2", "--out", str(tmp_path)]
+    else:
+        argv = ["measure", "--coloring", str(tmp_path), "--t", "1", "--s", "2"]
+    assert exit_code(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "internal" not in captured.err

@@ -99,16 +99,6 @@ def test_write_coloring_golden():
     assert buf.getvalue() == "4 3 3\n1\n3\n2\n1\n"
 
 
-@pytest.mark.parametrize("bad", [0, -1, 4])
-def test_write_coloring_refuses_colors_outside_range(bad):
-    c = Coloring(4, 3, 3, [1, 3, 2, 1])
-    c.colors[2] = bad  # the dataclass validates only at construction
-    buf = io.StringIO()
-    with pytest.raises(ValueError, match="colors must lie in"):
-        write_coloring(c, buf)
-    assert buf.getvalue() == ""
-
-
 def test_compact_coloring_with_comments_and_blank_lines():
     text = "# header next\n4 3 2\n1\n# between colors\n\n2\n  1  \n\n2\n# end\n"
     assert read_coloring(io.StringIO(text)).colors == [1, 2, 1, 2]
