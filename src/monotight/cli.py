@@ -98,11 +98,7 @@ def _cmd_measure(args) -> int:
 
 def _cmd_bound(args) -> int:
     params = {}
-    for name in ("n", "r", "k", "t", "s", "m"):
-        val = getattr(args, name)
-        if val is not None:
-            params[name] = val
-    for name in ("delta", "eps"):
+    for name in ("n", "r", "k", "t", "s", "m", "delta", "eps"):
         val = getattr(args, name)
         if val is not None:
             params[name] = val
@@ -141,7 +137,7 @@ def _cmd_construct(args) -> int:
         c = constructions.two_clique_coloring(args.n)
     elif name == "parity":
         c = constructions.parity_coloring(args.n)
-    elif name == "steiner":
+    else:
         if args.design is None:
             raise SystemExit2("steiner requires --design")
         system = _resolve_design(args.design)
@@ -150,8 +146,6 @@ def _cmd_construct(args) -> int:
         else:
             classes, _ = designs.partition_blocks(system, args.t, order=args.order)
         c = constructions.steiner_coloring(system, classes, t=args.t)
-    else:
-        raise SystemExit2(f"unknown construction {name!r}")
     with open(args.out, "w") as fh:
         fileio.write_coloring(c, fh)
     _emit({"subcommand": "construct", "name": name, "n": c.n, "k": c.k, "r": c.r, "out": args.out})
@@ -226,16 +220,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    suite = args.suite
-    if suite == "kk":
-        report = properties.verify_kk(trials=args.trials or 500, seed=args.seed)
-    elif suite == "density":
-        report = properties.verify_density(trials=args.trials or 300, seed=args.seed)
-    elif suite == "lowerbound":
-        report = properties.verify_lowerbound(trials=args.trials or 1000, seed=args.seed)
-    elif suite == "blowup":
-        report = properties.verify_blowup(trials=args.trials or 200, seed=args.seed)
-    elif suite == "r2a":
+    if args.suite == "r2a":
         case = (args.n, args.k, args.t, args.s)
         if case == (None,) * 4:
             report = properties.verify_r2a_suite()
@@ -244,7 +229,10 @@ def _cmd_verify(args) -> int:
         else:
             report = properties.verify_r2a_suite([case])
     else:
-        raise SystemExit2(f"unknown verify suite {suite!r}")
+        # looked up at call time, so a wrapped properties.verify_<suite> is the one called;
+        # the suite's own default applies when --trials is not given
+        trials = {} if args.trials is None else {"trials": args.trials}
+        report = getattr(properties, f"verify_{args.suite}")(seed=args.seed, **trials)
     report = {"subcommand": "verify", **report}
     _emit(report)
     return 0 if not report["violations"] else 1

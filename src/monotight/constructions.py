@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .core import Coloring, colex_edges, colex_rank, mask_to_vertices, vertices_to_mask
+from .core import Coloring, _sub_masks, colex_edges, colex_rank, mask_to_vertices
 from .designs import SteinerSystem
 
 
@@ -109,7 +109,7 @@ def steiner_coloring(system: SteinerSystem, classes: list[list[int]], t: int = 1
     n, k = system.n, system.k
     block_of_kset: dict[int, int] = {}
     for bi, block in enumerate(system.blocks):
-        for sub in combinations(mask_to_vertices(block), k):
-            block_of_kset[vertices_to_mask(sub)] = bi
+        for key in _sub_masks(block, k):
+            block_of_kset[key] = bi
     colors = [class_of_block[block_of_kset[e]] for e in colex_edges(n, k)]
     return Coloring(n, k, len(classes), colors)

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
-from .core import mask_to_vertices, vertices_to_mask
+from .core import _sub_masks, mask_to_vertices, vertices_to_mask
 
 
 def _is_prime(q: int) -> bool:
@@ -45,9 +44,9 @@ class SteinerSystem:
         for bi, block in enumerate(self.blocks):
             if block.bit_count() != self.h or block & ~full:
                 raise ValueError(f"block {bi} is not an h-subset of {{1..n}}")
-            for sub in combinations(mask_to_vertices(block), self.k):
-                key = vertices_to_mask(sub)
+            for key in _sub_masks(block, self.k):
                 if key in covered:
+                    sub = mask_to_vertices(key)
                     raise ValueError(
                         f"{self.k}-set {sub} covered by blocks {covered[key]} and {bi}"
                     )

@@ -7,20 +7,19 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 from . import constructions
 from .core import (
     Coloring,
     _shadow_members,
+    _sub_masks,
     colex_edges,
     color_buckets,
     component_shadows,
-    mask_to_vertices,
     measure,
 )
 
-_MISSING = object()
 R2A_MAX_EDGES = 25  # verify_r2a enumerates 2^(C(n,k)-1) colorings
 
 
@@ -71,7 +70,9 @@ def exact_M(
     keeps an incremental union-find with per-component shadow sets, undone
     by trail on backtrack. A branch is pruned as soon as the running
     maximum shadow reaches the incumbent, which is sound because adding
-    edges never shrinks components or shadows.
+    edges never shrinks components or shadows. The search is one loop over
+    the edge depth with per-depth state, so its depth C(n, k) is not bounded
+    by Python's recursion limit.
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
@@ -84,102 +85,98 @@ def exact_M(
     start = time.perf_counter()
     masks = list(colex_edges(n, k))
     m = len(masks)
-    t_subs = [tuple(combinations(mask_to_vertices(mask), t)) for mask in masks]
+    t_subs = [_sub_masks(mask, t) for mask in masks]
     s_subs = [tuple(_shadow_members((mask,), s, k)) for mask in masks]
 
-    best_val, best_col = _initial_incumbent(n, r, k, t, s)
-    best_witness = list(best_col.colors)
-
+    best, best_col = _initial_incumbent(n, r, k, t, s)
     if r == 1:
         # the single coloring is the constant one
         return SearchResult(
-            value=best_val,
+            value=best,
             witness=Coloring(n, k, 1, [1] * m),
             status="exact",
             nodes_explored=1,
             wall_time=time.perf_counter() - start,
         )
 
+    witness = best_col.colors
     parent = list(range(m))
     shadows: list[set[int] | None] = [None] * m
-    buckets: dict[tuple[int, tuple[int, ...]], int] = {}
-    color = [0] * m
-    state = {"best": best_val, "nodes": 0, "exhausted": False}
-    witness_holder = [best_witness]
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def dfs(i: int, used: int, cur_max: int) -> None:
-        if state["exhausted"]:
-            return
+    # buckets[c][key]: the latest edge of color c containing t-subset key
+    buckets: list[dict[int, int]] = [{} for _ in range(r + 1)]
+    color = [0] * m  # color of edge i; 0 on first arrival at depth i
+    trail: list[tuple[list[int], list] | None] = [None] * m
+    used = [0] * (m + 1)  # largest color among edges before i
+    run_max = [0] * (m + 1)  # largest component shadow among edges before i
+    nodes = 0
+    exhausted = False
+    i = 0
+    while i >= 0:
         if i == m:
-            if cur_max < state["best"]:
-                state["best"] = cur_max
-                witness_holder[0] = color.copy()
-            return
-        if budget is not None and state["nodes"] >= budget:
-            state["exhausted"] = True
-            return
-        top = min(r, used + 1)
-        for c in range(1, top + 1):
-            state["nodes"] += 1
-            # --- apply: give edge i color c ---
-            shadows[i] = set(s_subs[i])
-            bucket_trail = []
-            union_trail = []
-            for tm in t_subs[i]:
-                key = (c, tm)
-                prev = buckets.get(key, _MISSING)
-                bucket_trail.append((key, prev))
-                buckets[key] = i
-                if prev is not _MISSING:
-                    ra = find(prev)
-                    rb = find(i)
-                    if ra != rb:
-                        if len(shadows[ra]) < len(shadows[rb]):
-                            child, par = ra, rb
-                        else:
-                            child, par = rb, ra
-                        child_set = shadows[child]
-                        par_set = shadows[par]
-                        added = [x for x in child_set if x not in par_set]
-                        par_set.update(added)
-                        parent[child] = par
-                        union_trail.append((child, par, added))
-            root = find(i)
-            new_max = len(shadows[root])
-            if new_max < cur_max:
-                new_max = cur_max
-            color[i] = c
-            if new_max < state["best"]:
-                dfs(i + 1, max(used, c), new_max)
-            # --- undo ---
-            color[i] = 0
-            for child, par, added in reversed(union_trail):
+            if run_max[m] < best:
+                best, witness = run_max[m], color.copy()
+            i -= 1
+            continue
+        c = color[i]
+        if c:
+            # undo edge i's color c, newest union first
+            prevs, unions = trail[i]
+            for child, par, added in reversed(unions):
                 parent[child] = child
-                par_set = shadows[par]
-                for x in added:
-                    par_set.remove(x)
-            for key, prev in reversed(bucket_trail):
-                if prev is _MISSING:
-                    del buckets[key]
+                shadows[par] -= added
+            bucket = buckets[c]
+            for key, prev in zip(t_subs[i], prevs):
+                if prev < 0:
+                    del bucket[key]
                 else:
-                    buckets[key] = prev
-            shadows[i] = None
-            if state["exhausted"]:
-                return
+                    bucket[key] = prev
+        elif budget is not None and nodes >= budget:
+            exhausted = True
+            break
+        if c == min(r, used[i] + 1):
+            color[i] = 0
+            i -= 1
+            continue
+        c += 1
+        color[i] = c
+        nodes += 1
+        bucket = buckets[c]
+        root = i
+        shadows[i] = set(s_subs[i])
+        prevs = []
+        unions = []
+        for key in t_subs[i]:
+            prev = bucket.get(key, -1)
+            bucket[key] = i
+            prevs.append(prev)
+            if prev < 0:
+                continue
+            other = prev
+            while parent[other] != other:
+                other = parent[other]
+            if other != root:
+                # the smaller shadow set goes under the larger; on a tie,
+                # edge i's root goes under the older one
+                if len(shadows[other]) < len(shadows[root]):
+                    child = other
+                else:
+                    child, root = root, other
+                added = shadows[child] - shadows[root]
+                shadows[root] |= added
+                parent[child] = root
+                unions.append((child, root, added))
+        trail[i] = (prevs, unions)
+        new_max = max(len(shadows[root]), run_max[i])
+        if new_max < best:
+            used[i + 1] = max(used[i], c)
+            run_max[i + 1] = new_max
+            i += 1
 
-    dfs(0, 0, 0)
-    status = "budget-exhausted" if state["exhausted"] else "exact"
-    witness = Coloring(n, k, r, witness_holder[0])
     return SearchResult(
-        value=state["best"],
-        witness=witness,
-        status=status,
-        nodes_explored=state["nodes"],
+        value=best,
+        witness=Coloring(n, k, r, witness),
+        status="budget-exhausted" if exhausted else "exact",
+        nodes_explored=nodes,
         wall_time=time.perf_counter() - start,
     )
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from monotight import search
 from monotight.cli import main
 
 
@@ -132,6 +133,11 @@ def test_verify_nonpositive_trials_exits_2(capsys, trials):
     assert capsys.readouterr().out == ""
 
 
+def test_verify_unknown_suite_exits_2(capsys):
+    assert exit_code("verify", "nosuch") == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_search_has_no_threads_option(capsys):
     assert exit_code("search", "--n", "4", "--r", "2", "--k", "3", "--t", "1", "--s", "1", "--threads", "2") == 2
     code, rep = run(capsys, "search", "--n", "4", "--r", "2", "--k", "3", "--t", "1", "--s", "1")
@@ -157,14 +163,25 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
         assert isinstance(json.loads(out), dict), line
 
 
-def test_uncaught_exception_exits_3_with_one_stderr_line(capsys):
-    # C(46, 2) = 1035 edges: exact_M's per-edge recursion passes Python's limit
-    code = exit_code("search", "--n", "46", "--r", "2", "--k", "2", "--t", "1", "--s", "2", "--budget", "5000")
+def test_uncaught_exception_exits_3_with_one_stderr_line(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken search")
+
+    monkeypatch.setattr(search, "exact_M", broken)
+    code = exit_code("search", "--n", "4", "--r", "2", "--k", "3", "--t", "1", "--s", "1")
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("error: internal: ")
     assert captured.err.count("\n") == 1
+
+
+def test_search_deeper_than_recursion_limit(capsys):
+    # C(46, 2) = 1035 edges, one search depth per edge
+    code, rep = run(capsys, "search", "--n", "46", "--r", "2", "--k", "2", "--t", "1", "--s", "2", "--budget", "5000")
+    assert code == 0
+    assert rep["status"] == "budget-exhausted"
+    assert rep["nodes"] == 5000
 
 
 @pytest.mark.parametrize("budget", ["0", "-1", "x"])

@@ -57,6 +57,23 @@ def test_budget_exhaustion():
     assert measure(res.witness, 2, 2).value == res.value
 
 
+@pytest.mark.parametrize(
+    "inst, budget, expected",
+    [
+        ((5, 2, 3, 1, 2), None, (9, "exact", 265)),
+        ((5, 3, 3, 2, 2), None, (7, "exact", 720)),
+        ((6, 2, 3, 2, 1), None, (6, "exact", 2849)),
+        ((5, 2, 4, 1, 2), None, (10, "exact", 19)),
+        ((6, 2, 3, 2, 2), 10, (12, "budget-exhausted", 10)),
+        ((7, 2, 3, 2, 3), 20000, (17, "budget-exhausted", 20000)),
+    ],
+)
+def test_search_tree_node_counts(inst, budget, expected):
+    # the node count pins the search tree: color order, pruning and budget
+    res = exact_M(*inst, budget=budget)
+    assert (res.value, res.status, res.nodes_explored) == expected
+
+
 def test_parameter_errors():
     with pytest.raises(ValueError):
         exact_M(5, 2, 3, 3, 1)
