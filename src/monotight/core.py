@@ -150,11 +150,7 @@ class Coloring:
             raise ValueError(f"expected C({self.n},{self.k})={m} colors, got {len(self.colors)}")
         if self.r < 1:
             raise ValueError("r must be positive")
-        if self.colors and not (1 <= min(self.colors) and max(self.colors) <= self.r):
-            raise ValueError(f"colors must lie in [1, {self.r}]")
-
-    def color_of(self, edge: int | Iterable[int]) -> int:
-        return self.colors[colex_rank(edge, self.n, self.k)]
+        _check_colors(self.colors, self.r)
 
     def color_class(self, i: int) -> Hypergraph:
         """The hypergraph of edges with color i."""
@@ -265,6 +261,11 @@ def shadow(edges: Iterable[int], s: int) -> ShadowSet:
     return ShadowSet(s, _shadow_members(edges, s, k))
 
 
+def _check_colors(colors: Sequence[int], r: int) -> None:
+    if colors and not (1 <= min(colors) and max(colors) <= r):
+        raise ValueError(f"colors must lie in [1, {r}]")
+
+
 def color_buckets(
     colors: Sequence[int], r: int, edges: Iterable[int]
 ) -> tuple[list[list[int]], list[list[int]]]:
@@ -272,7 +273,11 @@ def color_buckets(
 
     `edges` lists every edge in colex order and `colors[rank]` is the color
     of the edge of that rank. Bucket i holds color i; bucket 0 stays empty.
+    Colors are checked again here, since `Coloring.colors` is a mutable list
+    that may have changed after construction; one outside [1, r] raises
+    ValueError.
     """
+    _check_colors(colors, r)
     masks: list[list[int]] = [[] for _ in range(r + 1)]
     ranks: list[list[int]] = [[] for _ in range(r + 1)]
     for rank, (mask, col) in enumerate(zip(edges, colors)):

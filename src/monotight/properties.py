@@ -123,20 +123,25 @@ def verify_blowup(trials: int = 200, seed: int = 0, pair_checks: int = 10_000) -
     """
     rng = random.Random(seed)
     n0, k = 6, 3
-    combos = [(r, n) for r in (2, 3) for n in (15, 21)]
+    sizes = (15, 21)
+    combos = [(r, n) for r in (2, 3) for n in sizes]
     ts_pairs = [(1, 2), (1, 3), (2, 3)]
+    # per n: every edge of K^3_n and its padded index set, aligned by colex rank
+    tables = {}
+    for n in sizes:
+        edges = list(colex_edges(n, k))
+        tables[n] = (edges, [padded_index_set(e, n, n0, k) for e in edges])
     violations = []
     for trial in range(trials):
         r, n = combos[trial % len(combos)]
         c0 = random_coloring(n0, r, k, seed=rng.randrange(2**63))
         c = blow_up(c0, n)
-        all_edges = list(colex_edges(n, k))
+        all_edges, padded = tables[n]
         for _ in range(pair_checks):
-            e = all_edges[rng.randrange(len(all_edges))]
-            f = all_edges[rng.randrange(len(all_edges))]
-            pe = padded_index_set(e, n, n0, k)
-            pf = padded_index_set(f, n, n0, k)
-            if (e & f).bit_count() > (pe & pf).bit_count():
+            i = rng.randrange(len(all_edges))
+            j = rng.randrange(len(all_edges))
+            e, f = all_edges[i], all_edges[j]
+            if (e & f).bit_count() > (padded[i] & padded[j]).bit_count():
                 violations.append({"kind": "intersection", "r": r, "n": n, "e": mask_to_vertices(e), "f": mask_to_vertices(f)})
         base_m = {}
         for t in (1, 2):

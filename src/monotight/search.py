@@ -15,8 +15,6 @@ from .core import (
     _shadow_members,
     _sub_masks,
     colex_edges,
-    color_buckets,
-    component_shadows,
     measure,
 )
 
@@ -192,13 +190,79 @@ def brute_force_M(n: int, r: int, k: int, t: int, s: int) -> int:
     return best
 
 
+def _r2a_tables(n: int, k: int, t: int, s: int) -> tuple[list[int], list[int], int]:
+    """Per-edge bitmask tables over the colex edge indices of K^k_n.
+
+    adj[i] has bit j set when |e_i ∩ e_j| >= t (bit i included); shade[i]
+    has bit j set when the s-set of colex index j lies in e_i. The third
+    value is the mask of all C(n, s) s-sets, the complete shadow.
+    """
+    masks = list(colex_edges(n, k))
+    s_index = {key: j for j, key in enumerate(colex_edges(n, s))}
+    adj = [
+        sum(1 << j for j, f in enumerate(masks) if (e & f).bit_count() >= t)
+        for e in masks
+    ]
+    shade = [sum(1 << s_index[key] for key in _sub_masks(e, s)) for e in masks]
+    return adj, shade, (1 << len(s_index)) - 1
+
+
+def _has_complete_component(cls: int, adj: list[int], shade: list[int], full: int) -> bool:
+    """Whether some t-tight component of the edge set `cls` (a bitmask over
+    edge indices) has complete s-shadow.
+
+    Each component is the closure of its lowest edge under adj restricted to
+    cls; its s-shadow is the OR of its edges' shade masks, so the search
+    stops as soon as that OR is full.
+    """
+    while cls:
+        comp = frontier = cls & -cls
+        covered = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            j = low.bit_length() - 1
+            covered |= shade[j]
+            if covered == full:
+                return True
+            grow = adj[j] & cls & ~comp
+            comp |= grow
+            frontier |= grow
+        cls &= ~comp
+    return False
+
+
+def _r2a_first_failure(n: int, k: int, t: int, s: int) -> tuple[int, list[int] | None]:
+    """Enumerate the 2-colorings of K^k_n with edge 0 red, in order of the
+    integer whose bit j is set when edge j + 1 is blue. Returns the number of
+    colorings checked and the first one (as colors 1/2 by colex rank) in which
+    no monochromatic t-tight component has complete s-shadow, or None."""
+    adj, shade, full = _r2a_tables(n, k, t, s)
+    m = len(adj)
+    everything = (1 << m) - 1
+    for bits in range(1 << (m - 1)):
+        red = everything ^ (bits << 1)
+        if not (
+            _has_complete_component(red, adj, shade, full)
+            or _has_complete_component(everything ^ red, adj, shade, full)
+        ):
+            return bits + 1, [1] + [1 + ((bits >> j) & 1) for j in range(m - 1)]
+    return 1 << (m - 1), None
+
+
 def verify_r2a(n: int, k: int, t: int, s: int) -> dict:
     """Exhaustively check that every 2-coloring of K^k_n has a monochromatic
     t-tight component with complete s-shadow (requires 2*max(t,s) <= k).
 
     Iterates all colorings with the first edge fixed red (color-swap
     symmetry), so at most 2^(R2A_MAX_EDGES - 1) of them; larger cases raise
-    ValueError. Returns a report dict; 'counterexample' is None on pass.
+    ValueError. Each coloring is one integer, and its red and blue classes
+    are bitmasks over the colex edge indices. Two tables built once per case
+    hold, per edge, the edges sharing >= t vertices with it and its s-subsets
+    over an index of the C(n, s) s-sets. A component is then the bitmask
+    closure of its lowest edge, and its s-shadow is complete when the OR of
+    its edges' s-subset masks has every bit set. Returns a report dict;
+    'counterexample' is None on pass.
     """
     if 2 * max(t, s) > k:
         raise ValueError(f"hypothesis 2*max(t,s) <= k violated: t={t}, s={s}, k={k}")
@@ -210,33 +274,13 @@ def verify_r2a(n: int, k: int, t: int, s: int) -> dict:
             f"C({n},{k}) = {m} edges exceeds {R2A_MAX_EDGES}: "
             f"2^{m - 1} colorings are too many to enumerate"
         )
-    masks = list(colex_edges(n, k))
-    target = math.comb(n, s)
-    checked = 0
-    for bits in range(1 << (m - 1)):
-        colors = [1] + [1 + ((bits >> j) & 1) for j in range(m - 1)]
-        checked += 1
-        by_color, _ = color_buckets(colors, 2, masks)
-        if not any(
-            cnt == target
-            for col in (1, 2)
-            for _, (cnt,) in component_shadows(by_color[col], t, (s,), k)
-        ):
-            return {
-                "pass": False,
-                "n": n,
-                "k": k,
-                "t": t,
-                "s": s,
-                "colorings_checked": checked,
-                "counterexample": colors,
-            }
+    checked, counterexample = _r2a_first_failure(n, k, t, s)
     return {
-        "pass": True,
+        "pass": counterexample is None,
         "n": n,
         "k": k,
         "t": t,
         "s": s,
         "colorings_checked": checked,
-        "counterexample": None,
+        "counterexample": counterexample,
     }

@@ -1,12 +1,18 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import shlex
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from monotight import search
-from monotight.cli import main
+from monotight import constructions, designs, fileio, search
+from monotight.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -209,3 +215,79 @@ def test_unusable_path_exits_2(tmp_path, capsys, target):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "internal" not in captured.err
+
+
+# Path-valued arguments name files in a fresh directory per example ("@" is
+# the directory itself); each path argument prefers the file it reads or
+# writes. The design names include invalid ones.
+FUZZ_PATHS = ["@h.hg", "@c.col", "@d.des", "@missing", "@", "@new.col"]
+FUZZ_FILE_FOR = {"hypergraph": "@h.hg", "coloring": "@c.col", "base": "@c.col"}
+FUZZ_DESIGNS = ["fano", "s348", "ag23", "ap2", "ap3", "ap4", "ap0", "ap-1", "apx", "@d.des", "@missing"]
+FUZZ_FLOATS = ["0", "0.5", "1", "-0.5", "2", "nan", "inf", "x"]
+FUZZ_JUNK = ["junk", "--bogus", "-x", "", "--", "7", "-1", "1.5", "nan", "--n=3", "exact"]
+
+
+def _fuzz_values(action):
+    # small ints only, so that no generated case runs unbounded
+    if action.choices:
+        return st.sampled_from(sorted(action.choices))
+    if action.dest == "budget":
+        return st.integers(-1, 2000).map(str)
+    if action.dest == "trials":
+        return st.integers(-1, 3).map(str)
+    if action.type is float:
+        return st.sampled_from(FUZZ_FLOATS)
+    if action.type is not None:
+        return st.one_of(st.integers(1, 4), st.integers(-1, 7)).map(str)
+    if action.dest in ("design", "name"):
+        return st.sampled_from(FUZZ_DESIGNS)
+    return st.one_of(st.just(FUZZ_FILE_FOR.get(action.dest, "@new.col")), st.sampled_from(FUZZ_PATHS))
+
+
+@st.composite
+def cli_argv(draw):
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    name = draw(st.sampled_from(sorted(sub.choices) + ["nosuch"]))
+    argv = [name]
+    if name in sub.choices:
+        positional, flags = [], []
+        for action in sub.choices[name]._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            # required arguments are always given, and so are --budget and
+            # --trials: an unbudgeted search or a default-size suite runs for seconds
+            forced = action.required or action.dest in ("budget", "trials")
+            if not forced and not draw(st.booleans()):
+                continue
+            value = draw(_fuzz_values(action))
+            if action.option_strings:
+                flags.append([action.option_strings[0], value])
+            else:
+                positional.append(value)
+        argv += positional + [tok for pair in draw(st.permutations(flags)) for tok in pair]
+    if draw(st.booleans()):
+        for junk in draw(st.lists(st.sampled_from(FUZZ_JUNK), min_size=1, max_size=2)):
+            argv.insert(draw(st.integers(0, len(argv))), junk)
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+def test_cli_argv_fuzz_keeps_exit_contract(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "h.hg").write_text("7 3\n1 2 3\n3 4 5\n5 6 7\n")
+        with open(Path(tmp) / "c.col", "w") as fh:
+            fileio.write_coloring(constructions.majority_coloring(5), fh)
+        with open(Path(tmp) / "d.des", "w") as fh:
+            fileio.write_design(designs.builtin_design("fano"), fh)
+        argv = [str(Path(tmp) / tok[1:]) if tok.startswith("@") else tok for tok in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2), (code, err.getvalue())
+    if out.getvalue():
+        assert isinstance(json.loads(out.getvalue()), dict)

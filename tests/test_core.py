@@ -194,6 +194,14 @@ class TestColorBuckets:
         for col in (-1, 0, 4):
             assert c.color_class(col).edges == []
 
+    @pytest.mark.parametrize("bad", [0, -1, 3])
+    def test_colors_mutated_out_of_range_raise(self, bad):
+        # Coloring validates at construction only; colors is a mutable list
+        c = Coloring(4, 3, 2, [1, 1, 1, 1])
+        c.colors[0] = bad
+        with pytest.raises(ValueError, match="colors must lie in \\[1, 2\\]"):
+            measure(c, 1, 3)
+
 
 class TestShadow:
     def test_single_edge(self):

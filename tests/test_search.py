@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from monotight import bounds
+from monotight import bounds, search
 from monotight.constructions import all_red, majority_coloring, parity_coloring
-from monotight.core import measure
+from monotight.core import Coloring, colex_edges, color_buckets, component_shadows, measure
 from monotight.search import brute_force_M, exact_M, random_coloring, verify_r2a
 
 
@@ -127,3 +127,65 @@ def test_verify_r2a_refuses_more_than_25_edges():
         verify_r2a(8, 2, 1, 1)
     with pytest.raises(ValueError, match="exceeds 25"):
         verify_r2a(8, 4, 1, 2)
+
+
+# the default r2a cases with at most 15 edges, then cases outside 2*max(t, s) <= k
+R2A_GRID = [
+    (5, 4, 1, 1),
+    (5, 4, 1, 2),
+    (6, 4, 1, 2),
+    (6, 4, 2, 2),
+    (5, 2, 1, 1),
+    (6, 2, 1, 1),
+    (5, 3, 2, 2),
+    (5, 3, 1, 2),
+    (5, 4, 2, 3),
+    (4, 3, 2, 3),
+    (6, 5, 1, 3),
+]
+
+
+@pytest.mark.parametrize("n, k, t, s", R2A_GRID)
+def test_r2a_bitmask_closure_matches_component_shadows(n, k, t, s):
+    # every 2-coloring with edge 0 red: the bitmask predicate on each color
+    # class equals "some component from component_shadows has C(n, s)"
+    adj, shade, full = search._r2a_tables(n, k, t, s)
+    masks = list(colex_edges(n, k))
+    m = len(masks)
+    everything = (1 << m) - 1
+    target = math.comb(n, s)
+    for bits in range(1 << (m - 1)):
+        red = everything ^ (bits << 1)
+        colors = [1] + [1 + ((bits >> j) & 1) for j in range(m - 1)]
+        by_color, by_rank = color_buckets(colors, 2, masks)
+        for col, cls in ((1, red), (2, everything ^ red)):
+            assert cls == sum(1 << i for i in by_rank[col])
+            expected = any(cnt == target for _, (cnt,) in component_shadows(by_color[col], t, (s,), k))
+            assert search._has_complete_component(cls, adj, shade, full) == expected
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        # measured with the per-coloring color_buckets/component_shadows loop
+        ((5, 3, 2, 2), (64, [1, 2, 2, 2, 2, 2, 2, 1, 1, 1])),
+        ((5, 3, 1, 2), (68, [1, 2, 2, 1, 1, 1, 1, 2, 1, 1])),
+        ((5, 4, 2, 3), (4, [1, 2, 2, 1, 1])),
+        ((4, 3, 2, 3), (2, [1, 2, 1, 1])),
+        ((6, 5, 1, 3), (8, [1, 2, 2, 2, 1, 1])),
+    ],
+)
+def test_r2a_first_failure_outside_hypothesis(case, expected):
+    n, k, t, s = case
+    checked, counterexample = search._r2a_first_failure(n, k, t, s)
+    assert (checked, counterexample) == expected
+    # independently: no monochromatic component of the counterexample is complete
+    assert measure(Coloring(n, k, 2, counterexample), t, s).value < math.comb(n, s)
+
+
+def test_verify_r2a_default_cases_checked():
+    counts = [
+        verify_r2a(*case)["colorings_checked"]
+        for case in [(5, 4, 1, 1), (5, 4, 1, 2), (6, 4, 1, 2), (6, 4, 2, 2), (5, 2, 1, 1), (6, 2, 1, 1)]
+    ]
+    assert counts == [16, 16, 16384, 16384, 512, 16384]
