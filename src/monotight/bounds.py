@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
+from .core import _check_tsk
+
 ROOT_TOL = 1e-12
 _GOLD = (math.sqrt(5) - 1) / 2
 
@@ -54,13 +56,6 @@ def kk_shadow_bound(m: int, k: int, s: int) -> float:
     if m < 1:
         raise ValueError("m must be at least 1")
     return binom_real(kk_root(m, k), s)
-
-
-def _check_tsk(k: int, t: int, s: int) -> None:
-    if not 1 <= t <= k - 1:
-        raise ValueError(f"need 1 <= t <= k-1, got t={t}, k={k}")
-    if not 1 <= s <= k:
-        raise ValueError(f"need 1 <= s <= k, got s={s}, k={k}")
 
 
 def general_lower_bound(n: int, r: int, k: int, t: int, s: int) -> float:

@@ -9,27 +9,15 @@ nothing on stdout).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from fractions import Fraction
 
 from . import bounds, constructions, designs, fileio, properties, search
 from .core import Hypergraph, mask_to_vertices, measure, shadow, t_tight_components
 
 
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True, default=_jsonable))
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if dataclasses.is_dataclass(value):
-        return dataclasses.asdict(value)
-    if isinstance(value, (set, frozenset)):
-        return sorted(value)
-    raise TypeError(f"not JSON serializable: {value!r}")
+    print(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _load_hypergraph(path: str) -> Hypergraph:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .core import Coloring, _sub_masks, colex_edges, colex_rank, mask_to_vertices
+from .core import Coloring, _sub_masks, colex_edges, mask_to_vertices
 from .designs import SteinerSystem
 
 
@@ -59,30 +59,27 @@ def blow_up(c0: Coloring, n: int) -> Coloring:
 
     {1..n} is split round-robin into N = n0-k+1 parts; an edge is colored by
     the base color of its touched part index set, padded up to size k with
-    the reserved base vertices N+1..n0.
+    the reserved base vertices N+1..n0 (`padded_index_set`). At n = n0 the
+    base coloring is copied, since the padded map is not the identity there.
     """
     n0, k = c0.n, c0.k
-    if n0 < k:
-        raise ValueError("base coloring must have at least k vertices")
     if n < n0:
         raise ValueError(f"need n >= n0 = {n0}")
     if n == n0:
         return Coloring(n0, k, c0.r, list(c0.colors))
-    base_colors = c0.colors
-    colors = [
-        base_colors[colex_rank(padded_index_set(e, n, n0, k), n0, k)]
-        for e in colex_edges(n, k)
-    ]
+    base = dict(zip(colex_edges(n0, k), c0.colors))
+    colors = [base[padded_index_set(e, n0, k)] for e in colex_edges(n, k)]
     return Coloring(n, k, c0.r, colors)
 
 
-def padded_index_set(e: int, n: int, c0_n: int, k: int) -> int:
-    """phi(I_e): the padded part-index set of an edge under the blow-up of a
-    base on c0_n vertices; `blow_up` colors the edge by this base edge."""
-    num_parts = c0_n - k + 1
+def padded_index_set(e: int, n0: int, k: int) -> int:
+    """phi(I_e): the parts (v-1) mod (n0-k+1) that edge e touches, padded up
+    to size k with the lowest reserved vertices, as a k-subset mask of
+    {1..n0}. `blow_up` colors e by this base edge, whatever its n."""
+    num_parts = n0 - k + 1
     parts_mask = 0
     for v in mask_to_vertices(e):
-        parts_mask |= 1 << (((v - 1) % num_parts))
+        parts_mask |= 1 << ((v - 1) % num_parts)
     pad = k - parts_mask.bit_count()
     return parts_mask | (((1 << pad) - 1) << num_parts)
 

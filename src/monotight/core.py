@@ -99,6 +99,18 @@ def _sub_masks(mask: int, j: int) -> list[int]:
     return out
 
 
+def _check_nk(n: int, k: int) -> None:
+    if not 2 <= k <= n:
+        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+
+
+def _check_tsk(k: int, t: int, s: int) -> None:
+    if not 1 <= t <= k - 1:
+        raise ValueError(f"need 1 <= t <= k-1, got t={t}, k={k}")
+    if not 1 <= s <= k:
+        raise ValueError(f"need 1 <= s <= k, got s={s}, k={k}")
+
+
 @dataclass
 class Hypergraph:
     """A k-uniform hypergraph on {1..n} with edges stored as bitmasks."""
@@ -110,8 +122,7 @@ class Hypergraph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
-        if not 2 <= self.k <= self.n:
-            raise ValueError(f"need 2 <= k <= n, got k={self.k}, n={self.n}")
+        _check_nk(self.n, self.k)
         full = (1 << self.n) - 1
         seen = set()
         for e in self.edges:
@@ -145,6 +156,7 @@ class Coloring:
     colors: list[int]
 
     def __post_init__(self):
+        _check_nk(self.n, self.k)
         m = math.comb(self.n, self.k)
         if len(self.colors) != m:
             raise ValueError(f"expected C({self.n},{self.k})={m} colors, got {len(self.colors)}")
@@ -325,10 +337,7 @@ def measure(c: Coloring, t: int, s: int) -> MeasureResult:
     held at once.
     """
     k = c.k
-    if not 1 <= t <= k - 1:
-        raise ValueError(f"need 1 <= t <= k-1, got t={t}, k={k}")
-    if not 1 <= s <= k:
-        raise ValueError(f"need 1 <= s <= k, got s={s}, k={k}")
+    _check_tsk(k, t, s)
     by_color_masks, by_color_ranks = color_buckets(c.colors, c.r, colex_edges(c.n, k))
     best: tuple[int, int, frozenset[int]] | None = None
     for col in range(1, c.r + 1):

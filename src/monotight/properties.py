@@ -20,7 +20,6 @@ from .core import (
     color_buckets,
     component_shadows,
     mask_to_vertices,
-    measure,
 )
 from .search import random_coloring, verify_r2a
 
@@ -113,50 +112,55 @@ def verify_density(trials: int = 300, seed: int = 0) -> dict:
     return {"suite": "density", "trials": trials, "seed": seed, "violations": violations}
 
 
-def verify_blowup(trials: int = 200, seed: int = 0, pair_checks: int = 10_000) -> dict:
+def _padded_intersection_violations(n: int, n0: int, k: int) -> tuple[int, list[dict]]:
+    """Every pair of distinct edges e, f of K^k_n whose intersection is larger
+    than that of their padded index sets. Returns the number of pairs checked
+    and the violations."""
+    edges = list(colex_edges(n, k))
+    padded = [padded_index_set(e, n0, k) for e in edges]
+    violations = []
+    for i, (e, pe) in enumerate(zip(edges, padded)):
+        for f, pf in zip(edges[i + 1 :], padded[i + 1 :]):
+            if (e & f).bit_count() > (pe & pf).bit_count():
+                violations.append({"kind": "intersection", "n": n, "e": mask_to_vertices(e), "f": mask_to_vertices(f)})
+    return math.comb(len(edges), 2), violations
+
+
+def verify_blowup(trials: int = 200, seed: int = 0) -> dict:
     """Random base colorings on K^3_6 blown up to n in {15, 21}:
 
     (i) edge intersections never exceed the intersections of their padded
-        part index sets;
+        part index sets. This depends only on n, not on the coloring, so it
+        is checked once per n over every pair of edges of K^3_n;
     (ii) the measured value of the blow-up obeys the recursive bound
         sum_l ceil(n/(n0-k+1))^s * C(s-1, l-1) * M(n0, r, k, t, l; c0).
+        Both sides come from one `_max_shadow_by_ts` pass per coloring.
     """
-    rng = random.Random(seed)
     n0, k = 6, 3
     sizes = (15, 21)
-    combos = [(r, n) for r in (2, 3) for n in sizes]
-    ts_pairs = [(1, 2), (1, 3), (2, 3)]
-    # per n: every edge of K^3_n and its padded index set, aligned by colex rank
-    tables = {}
-    for n in sizes:
-        edges = list(colex_edges(n, k))
-        tables[n] = (edges, [padded_index_set(e, n, n0, k) for e in edges])
+    pairs_checked = 0
     violations = []
+    for n in sizes:
+        checked, found = _padded_intersection_violations(n, n0, k)
+        pairs_checked += checked
+        violations += found
+    rng = random.Random(seed)
+    combos = [(r, n) for r in (2, 3) for n in sizes]
     for trial in range(trials):
         r, n = combos[trial % len(combos)]
         c0 = random_coloring(n0, r, k, seed=rng.randrange(2**63))
-        c = blow_up(c0, n)
-        all_edges, padded = tables[n]
-        for _ in range(pair_checks):
-            i = rng.randrange(len(all_edges))
-            j = rng.randrange(len(all_edges))
-            e, f = all_edges[i], all_edges[j]
-            if (e & f).bit_count() > (padded[i] & padded[j]).bit_count():
-                violations.append({"kind": "intersection", "r": r, "n": n, "e": mask_to_vertices(e), "f": mask_to_vertices(f)})
-        base_m = {}
-        for t in (1, 2):
-            for ell in (1, 2, 3):
-                base_m[(t, ell)] = measure(c0, t, ell).value
+        base = _max_shadow_by_ts(c0)
+        blown = _max_shadow_by_ts(blow_up(c0, n))
         ceil_m = -(-n // (n0 - k + 1))
-        for t, s in ts_pairs:
-            lhs = measure(c, t, s).value
+        for t, s in [(1, 2), (1, 3), (2, 3)]:
+            lhs = blown[(t, s)]
             rhs = sum(
-                ceil_m**s * math.comb(s - 1, ell - 1) * base_m[(t, ell)]
+                ceil_m**s * math.comb(s - 1, ell - 1) * base[(t, ell)]
                 for ell in range(1, s + 1)
             )
             if lhs > rhs:
                 violations.append({"kind": "recursive-bound", "r": r, "n": n, "t": t, "s": s, "lhs": lhs, "rhs": rhs})
-    return {"suite": "blowup", "trials": trials, "seed": seed, "violations": violations}
+    return {"suite": "blowup", "trials": trials, "seed": seed, "pairs_checked": pairs_checked, "violations": violations}
 
 
 def verify_r2a_suite(cases: list[tuple[int, int, int, int]] | None = None) -> dict:

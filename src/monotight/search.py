@@ -12,6 +12,8 @@ from itertools import product
 from . import constructions
 from .core import (
     Coloring,
+    _check_nk,
+    _check_tsk,
     _shadow_members,
     _sub_masks,
     colex_edges,
@@ -32,8 +34,7 @@ class SearchResult:
 
 def random_coloring(n: int, r: int, k: int, seed: int) -> Coloring:
     """Uniform independent edge colors from a seeded deterministic generator."""
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+    _check_nk(n, k)
     if r < 1:
         raise ValueError("r must be positive")
     rng = random.Random(seed)
@@ -72,12 +73,8 @@ def exact_M(
     the edge depth with per-depth state, so its depth C(n, k) is not bounded
     by Python's recursion limit.
     """
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    if not 1 <= t <= k - 1:
-        raise ValueError(f"need 1 <= t <= k-1, got t={t}, k={k}")
-    if not 1 <= s <= k:
-        raise ValueError(f"need 1 <= s <= k, got s={s}, k={k}")
+    _check_nk(n, k)
+    _check_tsk(k, t, s)
     if r < 1:
         raise ValueError("r must be positive")
     start = time.perf_counter()
@@ -266,8 +263,8 @@ def verify_r2a(n: int, k: int, t: int, s: int) -> dict:
     """
     if 2 * max(t, s) > k:
         raise ValueError(f"hypothesis 2*max(t,s) <= k violated: t={t}, s={s}, k={k}")
-    if not 1 <= t <= k - 1 or not 1 <= s <= k or k > n:
-        raise ValueError("parameter range violation")
+    _check_tsk(k, t, s)
+    _check_nk(n, k)
     m = math.comb(n, k)
     if m > R2A_MAX_EDGES:
         raise ValueError(

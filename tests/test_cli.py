@@ -204,6 +204,25 @@ def test_verify_r2a_oversized_case_exits_2(capsys):
     assert "C(8,4) = 70" in captured.err
 
 
+def test_construct_k_above_n_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.col"
+    assert exit_code("construct", "all_red", "--n", "2", "--k", "3", "--r", "2", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need 2 <= k <= n" in captured.err
+    assert not out.exists()
+
+
+def test_measure_k_above_n_exits_2(tmp_path, capsys):
+    # the header of an edgeless K^3_2: C(2, 3) = 0 colors follow
+    path = tmp_path / "x.col"
+    path.write_text("2 3 2\n")
+    assert exit_code("measure", "--coloring", str(path), "--t", "1", "--s", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need 2 <= k <= n" in captured.err
+
+
 @pytest.mark.parametrize("target", ["out", "coloring"])
 def test_unusable_path_exits_2(tmp_path, capsys, target):
     # a directory where a file is expected raises IsADirectoryError, an OSError

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from monotight import bounds
+from monotight import bounds, properties
 from monotight.constructions import (
     all_red,
     blow_up,
@@ -13,7 +13,7 @@ from monotight.constructions import (
     steiner_coloring,
     two_clique_coloring,
 )
-from monotight.core import colex_edges, measure, t_tight_components, vertices_to_mask
+from monotight.core import colex_edges, colex_rank, measure, t_tight_components, vertices_to_mask
 from monotight.designs import affine_plane, builtin_design, partition_blocks
 from monotight.search import random_coloring
 
@@ -95,16 +95,44 @@ def test_blow_up_preserves_constant():
     assert set(c.colors) == {1}
 
 
+# (k, n0, n) with n > n0 >= k: every pair of edges of K^k_n is checked
+PADDED_CASES = [
+    (2, 3, 4), (2, 3, 9), (2, 4, 7), (2, 5, 16),
+    (3, 4, 9), (3, 5, 11), (3, 6, 15), (3, 7, 12),
+    (4, 5, 9), (4, 6, 11), (4, 7, 10),
+]
+
+
 def test_blow_up_intersection_invariant():
-    rng = random.Random(9)
-    n0, k, n = 6, 3, 15
-    edges = list(colex_edges(n, k))
-    for _ in range(2000):
-        e = edges[rng.randrange(len(edges))]
-        f = edges[rng.randrange(len(edges))]
-        pe = padded_index_set(e, n, n0, k)
-        pf = padded_index_set(f, n, n0, k)
-        assert (e & f).bit_count() <= (pe & pf).bit_count()
+    for k, n0, n in PADDED_CASES:
+        edges = list(colex_edges(n, k))
+        padded = [padded_index_set(e, n0, k) for e in edges]
+        assert set(padded) <= set(colex_edges(n0, k))
+        for i, (e, pe) in enumerate(zip(edges, padded)):
+            for f, pf in zip(edges[i + 1 :], padded[i + 1 :]):
+                assert (e & f).bit_count() <= (pe & pf).bit_count(), (k, n0, n, e, f)
+
+
+@pytest.mark.parametrize("k, n0, n", PADDED_CASES)
+def test_blow_up_matches_per_edge_rank_oracle(k, n0, n):
+    for r in (2, 3):
+        c0 = random_coloring(n0, r, k, seed=1000 * k + 10 * n + r)
+        want = [c0.colors[colex_rank(padded_index_set(e, n0, k), n0, k)] for e in colex_edges(n, k)]
+        c = blow_up(c0, n)
+        assert (c.n, c.k, c.r) == (n, k, r)
+        assert c.colors == want
+
+
+def test_verify_blowup_reports_a_broken_padded_map(monkeypatch):
+    # every edge through vertex 1 goes to base edge {1, 2, 3}: then {1, 2, 6}
+    # and {2, 6, 10} share 2 vertices but their padded sets share only 1
+    def broken(e, n0, k):
+        return 0b111 if e & 1 else padded_index_set(e, n0, k)
+
+    monkeypatch.setattr(properties, "padded_index_set", broken)
+    rep = properties.verify_blowup(trials=1, seed=0)
+    assert any(v["kind"] == "intersection" for v in rep["violations"])
+    assert rep["pairs_checked"] == math.comb(455, 2) + math.comb(1330, 2) == 987_070
 
 
 def test_blow_up_recursive_inequality_sample():

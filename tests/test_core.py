@@ -203,6 +203,13 @@ class TestColorBuckets:
             measure(c, 1, 3)
 
 
+    @pytest.mark.parametrize("n, k", [(2, 3), (5, 1), (4, 0), (0, 0)])
+    def test_coloring_needs_2_le_k_le_n(self, n, k):
+        # k > n would be an edgeless K^k_n whose every measure reads 0
+        with pytest.raises(ValueError, match=f"need 2 <= k <= n, got k={k}, n={n}"):
+            Coloring(n, k, 2, [1] * math.comb(n, k))
+
+
 class TestShadow:
     def test_single_edge(self):
         e = vertices_to_mask([1, 2, 3])

@@ -121,6 +121,15 @@ def test_verify_r2a_hypothesis_enforced():
         verify_r2a(6, 3, 2, 2)
 
 
+def test_verify_r2a_range_errors_name_the_rule():
+    with pytest.raises(ValueError, match="need 1 <= t <= k-1, got t=0, k=4"):
+        verify_r2a(6, 4, 0, 2)
+    with pytest.raises(ValueError, match="need 1 <= s <= k, got s=0, k=4"):
+        verify_r2a(6, 4, 1, 0)
+    with pytest.raises(ValueError, match="need 2 <= k <= n, got k=4, n=3"):
+        verify_r2a(3, 4, 1, 2)
+
+
 def test_verify_r2a_refuses_more_than_25_edges():
     # C(8, 2) = 28 is the smallest valid case above the cap of 2^24 colorings
     with pytest.raises(ValueError, match="C\\(8,2\\) = 28"):
