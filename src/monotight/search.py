@@ -14,7 +14,6 @@ from .core import (
     Coloring,
     _check_nk,
     _check_tsk,
-    _shadow_members,
     _sub_masks,
     colex_edges,
     measure,
@@ -58,6 +57,32 @@ def _initial_incumbent(n: int, r: int, k: int, t: int, s: int) -> tuple[int, Col
     return best_val, best_col
 
 
+def _edge_tables(n: int, k: int, t: int, s: int) -> tuple[list[int], list[int]]:
+    """Per-edge bitmask tables over the colex edge indices of K^k_n.
+
+    adj[i] has bit j set when |e_i ∩ e_j| >= t (bit i included). It is the
+    OR, over the t-subsets of e_i, of the mask of edges containing each one.
+    shade[i] has bit j set when the s-set of colex index j lies in e_i, so
+    the s-shadow of an edge set is the OR of its edges' shade masks, and it
+    is complete when all C(n, s) bits are set.
+    """
+    masks = list(colex_edges(n, k))
+    t_subs = [_sub_masks(e, t) for e in masks]
+    containing: dict[int, int] = {}
+    for i, keys in enumerate(t_subs):
+        for key in keys:
+            containing[key] = containing.get(key, 0) | 1 << i
+    adj = []
+    for keys in t_subs:
+        near = 0
+        for key in keys:
+            near |= containing[key]
+        adj.append(near)
+    s_index = {key: j for j, key in enumerate(colex_edges(n, s))}
+    shade = [sum(1 << s_index[key] for key in _sub_masks(e, s)) for e in masks]
+    return adj, shade
+
+
 def exact_M(
     n: int, r: int, k: int, t: int, s: int, budget: int | None = None
 ) -> SearchResult:
@@ -65,23 +90,22 @@ def exact_M(
     t-tight component s-shadow.
 
     Depth-first over edges in colex order; colors must first appear in
-    increasing index order (cuts the r! color symmetry). Each color class
-    keeps an incremental union-find with per-component shadow sets, undone
-    by trail on backtrack. A branch is pruned as soon as the running
-    maximum shadow reaches the incumbent, which is sound because adding
-    edges never shrinks components or shadows. The search is one loop over
-    the edge depth with per-depth state, so its depth C(n, k) is not bounded
-    by Python's recursion limit.
+    increasing index order (cuts the r! color symmetry). Each color keeps a
+    list of its components as (edge mask, shadow mask) pairs over the tables
+    of `_edge_tables`. Coloring edge i with c merges edge i with every
+    component of c whose edge mask meets adj[i] into one new pair; the old
+    list is kept, so undo puts it back. A branch is pruned as soon as the
+    running maximum shadow reaches the incumbent, which is sound because
+    adding edges never shrinks components or shadows. The search is one loop
+    over the edge depth with per-depth state, so its depth C(n, k) is not
+    bounded by Python's recursion limit. The budget caps the nodes explored.
     """
     _check_nk(n, k)
     _check_tsk(k, t, s)
     if r < 1:
         raise ValueError("r must be positive")
     start = time.perf_counter()
-    masks = list(colex_edges(n, k))
-    m = len(masks)
-    t_subs = [_sub_masks(mask, t) for mask in masks]
-    s_subs = [tuple(_shadow_members((mask,), s, k)) for mask in masks]
+    m = math.comb(n, k)
 
     best, best_col = _initial_incumbent(n, r, k, t, s)
     if r == 1:
@@ -94,13 +118,12 @@ def exact_M(
             wall_time=time.perf_counter() - start,
         )
 
+    adj, shade = _edge_tables(n, k, t, s)
     witness = best_col.colors
-    parent = list(range(m))
-    shadows: list[set[int] | None] = [None] * m
-    # buckets[c][key]: the latest edge of color c containing t-subset key
-    buckets: list[dict[int, int]] = [{} for _ in range(r + 1)]
+    # comps[c]: the components of color c as (edge mask, shadow mask) pairs
+    comps: list[list[tuple[int, int]]] = [[] for _ in range(r + 1)]
+    saved: list[list[tuple[int, int]] | None] = [None] * m  # comps[color[i]] before edge i
     color = [0] * m  # color of edge i; 0 on first arrival at depth i
-    trail: list[tuple[list[int], list] | None] = [None] * m
     used = [0] * (m + 1)  # largest color among edges before i
     run_max = [0] * (m + 1)  # largest component shadow among edges before i
     nodes = 0
@@ -114,54 +137,30 @@ def exact_M(
             continue
         c = color[i]
         if c:
-            # undo edge i's color c, newest union first
-            prevs, unions = trail[i]
-            for child, par, added in reversed(unions):
-                parent[child] = child
-                shadows[par] -= added
-            bucket = buckets[c]
-            for key, prev in zip(t_subs[i], prevs):
-                if prev < 0:
-                    del bucket[key]
-                else:
-                    bucket[key] = prev
-        elif budget is not None and nodes >= budget:
-            exhausted = True
-            break
+            comps[c] = saved[i]
         if c == min(r, used[i] + 1):
             color[i] = 0
             i -= 1
             continue
+        if budget is not None and nodes >= budget:
+            exhausted = True
+            break
         c += 1
         color[i] = c
         nodes += 1
-        bucket = buckets[c]
-        root = i
-        shadows[i] = set(s_subs[i])
-        prevs = []
-        unions = []
-        for key in t_subs[i]:
-            prev = bucket.get(key, -1)
-            bucket[key] = i
-            prevs.append(prev)
-            if prev < 0:
-                continue
-            other = prev
-            while parent[other] != other:
-                other = parent[other]
-            if other != root:
-                # the smaller shadow set goes under the larger; on a tie,
-                # edge i's root goes under the older one
-                if len(shadows[other]) < len(shadows[root]):
-                    child = other
-                else:
-                    child, root = root, other
-                added = shadows[child] - shadows[root]
-                shadows[root] |= added
-                parent[child] = root
-                unions.append((child, root, added))
-        trail[i] = (prevs, unions)
-        new_max = max(len(shadows[root]), run_max[i])
+        near = adj[i]
+        edges, covered = 1 << i, shade[i]
+        kept = []
+        saved[i] = comps[c]
+        for comp in saved[i]:
+            if comp[0] & near:
+                edges |= comp[0]
+                covered |= comp[1]
+            else:
+                kept.append(comp)
+        kept.append((edges, covered))
+        comps[c] = kept
+        new_max = max(covered.bit_count(), run_max[i])
         if new_max < best:
             used[i + 1] = max(used[i], c)
             run_max[i + 1] = new_max
@@ -185,23 +184,6 @@ def brute_force_M(n: int, r: int, k: int, t: int, s: int) -> int:
         if best is None or val < best:
             best = val
     return best
-
-
-def _r2a_tables(n: int, k: int, t: int, s: int) -> tuple[list[int], list[int], int]:
-    """Per-edge bitmask tables over the colex edge indices of K^k_n.
-
-    adj[i] has bit j set when |e_i ∩ e_j| >= t (bit i included); shade[i]
-    has bit j set when the s-set of colex index j lies in e_i. The third
-    value is the mask of all C(n, s) s-sets, the complete shadow.
-    """
-    masks = list(colex_edges(n, k))
-    s_index = {key: j for j, key in enumerate(colex_edges(n, s))}
-    adj = [
-        sum(1 << j for j, f in enumerate(masks) if (e & f).bit_count() >= t)
-        for e in masks
-    ]
-    shade = [sum(1 << s_index[key] for key in _sub_masks(e, s)) for e in masks]
-    return adj, shade, (1 << len(s_index)) - 1
 
 
 def _has_complete_component(cls: int, adj: list[int], shade: list[int], full: int) -> bool:
@@ -234,7 +216,8 @@ def _r2a_first_failure(n: int, k: int, t: int, s: int) -> tuple[int, list[int] |
     integer whose bit j is set when edge j + 1 is blue. Returns the number of
     colorings checked and the first one (as colors 1/2 by colex rank) in which
     no monochromatic t-tight component has complete s-shadow, or None."""
-    adj, shade, full = _r2a_tables(n, k, t, s)
+    adj, shade = _edge_tables(n, k, t, s)
+    full = (1 << math.comb(n, s)) - 1
     m = len(adj)
     everything = (1 << m) - 1
     for bits in range(1 << (m - 1)):
@@ -254,12 +237,11 @@ def verify_r2a(n: int, k: int, t: int, s: int) -> dict:
     Iterates all colorings with the first edge fixed red (color-swap
     symmetry), so at most 2^(R2A_MAX_EDGES - 1) of them; larger cases raise
     ValueError. Each coloring is one integer, and its red and blue classes
-    are bitmasks over the colex edge indices. Two tables built once per case
-    hold, per edge, the edges sharing >= t vertices with it and its s-subsets
-    over an index of the C(n, s) s-sets. A component is then the bitmask
-    closure of its lowest edge, and its s-shadow is complete when the OR of
-    its edges' s-subset masks has every bit set. Returns a report dict;
-    'counterexample' is None on pass.
+    are bitmasks over the colex edge indices. With the adj and shade tables
+    of `_edge_tables`, built once per case (the same ones `exact_M` uses), a
+    component is the bitmask closure of its lowest edge under adj, and its
+    s-shadow is complete when the OR of its edges' shade masks has all
+    C(n, s) bits set. Returns a report dict; 'counterexample' is None on pass.
     """
     if 2 * max(t, s) > k:
         raise ValueError(f"hypothesis 2*max(t,s) <= k violated: t={t}, s={s}, k={k}")

@@ -29,6 +29,11 @@ def test_exact_matches_brute_force_oracle():
         (5, 2, 4, 1, 2),
         (5, 2, 4, 2, 2),
         (5, 2, 2, 1, 1),
+        # k = 4 with s < t
+        (5, 2, 4, 3, 1),
+        (5, 2, 4, 3, 2),
+        (5, 3, 4, 2, 1),
+        (5, 3, 4, 3, 2),
     ]
     for n, r, k, t, s in cases:
         assert math.comb(n, k) <= 12
@@ -52,9 +57,21 @@ def test_sandwich_invariant():
 def test_budget_exhaustion():
     res = exact_M(6, 2, 3, 2, 2, budget=10)
     assert res.status == "budget-exhausted"
-    assert res.nodes_explored <= 10 + 2
+    assert res.nodes_explored <= 10
     # even then the reported value is a valid upper bound with a witness
     assert measure(res.witness, 2, 2).value == res.value
+
+
+@pytest.mark.parametrize("inst", [(6, 3, 3, 2, 2), (5, 3, 3, 2, 2)])
+def test_budget_is_never_overshot(inst):
+    # the budget is checked before every node, siblings after a backtrack too
+    exact = exact_M(*inst).value
+    t, s = inst[3:]
+    for budget in range(1, 400):
+        res = exact_M(*inst, budget=budget)
+        assert res.nodes_explored <= budget
+        assert res.value >= exact
+        assert measure(res.witness, t, s).value == res.value
 
 
 @pytest.mark.parametrize(
@@ -66,6 +83,9 @@ def test_budget_exhaustion():
         ((5, 2, 4, 1, 2), None, (10, "exact", 19)),
         ((6, 2, 3, 2, 2), 10, (12, "budget-exhausted", 10)),
         ((7, 2, 3, 2, 3), 20000, (17, "budget-exhausted", 20000)),
+        ((6, 2, 3, 2, 3), None, (9, "exact", 48875)),
+        ((6, 2, 3, 1, 3), None, (10, "exact", 184755)),
+        ((6, 3, 3, 2, 2), None, (9, "exact", 95952)),
     ],
 )
 def test_search_tree_node_counts(inst, budget, expected):
@@ -154,11 +174,23 @@ R2A_GRID = [
 ]
 
 
+@pytest.mark.parametrize("n, k, t, s", [*R2A_GRID, (7, 3, 2, 3), (12, 4, 2, 2), (46, 2, 1, 2)])
+def test_edge_tables_match_their_definitions(n, k, t, s):
+    adj, shade = search._edge_tables(n, k, t, s)
+    masks = list(colex_edges(n, k))
+    s_sets = list(colex_edges(n, s))
+    assert len(adj) == len(shade) == len(masks)
+    for e, near, covered in zip(masks, adj, shade):
+        assert near == sum(1 << j for j, f in enumerate(masks) if (e & f).bit_count() >= t)
+        assert covered == sum(1 << j for j, f in enumerate(s_sets) if f & e == f)
+
+
 @pytest.mark.parametrize("n, k, t, s", R2A_GRID)
 def test_r2a_bitmask_closure_matches_component_shadows(n, k, t, s):
     # every 2-coloring with edge 0 red: the bitmask predicate on each color
     # class equals "some component from component_shadows has C(n, s)"
-    adj, shade, full = search._r2a_tables(n, k, t, s)
+    adj, shade = search._edge_tables(n, k, t, s)
+    full = (1 << math.comb(n, s)) - 1
     masks = list(colex_edges(n, k))
     m = len(masks)
     everything = (1 << m) - 1
