@@ -6,13 +6,26 @@ covers every n. Edge order is always colex: ranks, witnesses and file
 formats all refer to it. Colex order of k-subsets is increasing order of
 their bitmasks, so enumeration steps from one mask to the next larger one
 with the same popcount.
+
+Components and shadows are computed on runs, not on single edges. For a
+(k-1)-set `top` with lowest vertex a >= 2, the edges top | x with x < a
+sit at consecutive colex ranks. A run (top, low) is a nonempty set of
+them, with `low` the mask of their x; its edges pairwise share the k-1
+vertices of top. A coloring of K^k_n has about C(n, k-1) runs per color
+(`color_runs`); a plain edge list is one run per edge (`edge_runs`).
+
+Write a j-set as its lowest vertex and the rest Q. A j-set of the edge
+top | x either holds x, its lowest vertex, and a (j-1)-subset Q of top, or
+lies in top. So the j-subsets of a run's edges are Q | y for each
+(j-1)-subset Q of top and each bit y of low | (top & (lowbit(Q) - 1)): one
+(Q, bits) pair per Q, whatever the number of edges in the run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, count
 from typing import Iterable, Iterator, Sequence
 
 
@@ -84,9 +97,12 @@ def colex_edges(n: int, k: int) -> Iterator[int]:
 def _sub_masks(mask: int, j: int) -> list[int]:
     """The j-subsets of the vertex set `mask`, as masks.
 
-    j = 1 and j = |mask| - 1 peel the low bits once, yielding each bit or
-    the mask without it; other sizes sum combinations of the bits.
+    j = 0 gives the empty set. j = 1 and j = |mask| - 1 peel the low bits
+    once, yielding each bit or the mask without it; other sizes sum
+    combinations of the bits.
     """
+    if not j:
+        return [0]
     flip = mask if j == mask.bit_count() - 1 else 0
     if not flip and j != 1:
         return list(map(sum, combinations(_sub_masks(mask, 1), j)))
@@ -199,34 +215,54 @@ class MeasureResult:
     witness_component: frozenset[int]
 
 
-def _component_indices(
-    masks: Sequence[int], t: int, return_keys: bool = False
-) -> list[list[int]] | tuple[list[list[int]], list[list[int]]]:
-    """Group edge masks into t-tight components; components sorted by first index.
+def edge_runs(masks: Iterable[int]) -> list[tuple[int, int]]:
+    """One run per edge mask, in the given order, so run indices are edge indices."""
+    return [(e & (e - 1), e & -e) for e in masks]
 
-    Edges sharing a t-subset intersect in >= t vertices, so bucketing by
-    t-subsets and unioning each bucket realizes the iterated-merge closure.
-    Union-find keeps every root at the smallest edge index of its set, so
-    parent[i] <= i and one ascending pass flattens the forest.
+
+def _component_indices(
+    runs: Sequence[tuple[int, int]], t: int, return_keys: bool = False
+) -> list[list[int]] | tuple[list[list[int]], list[list[int]]]:
+    """Group runs into t-tight components; components sorted by first run index.
+
+    The edges of a run share the k-1 >= t vertices of its top, so a run is
+    t-tight connected. Two runs are adjacent exactly when they share a
+    t-set, that is when they give one key Q bits that meet (see the module
+    docstring). Per key, the bits seen so far form disjoint (bits, run)
+    classes, and a run merges every class its bits meet into one.
+    Union-find keeps every root at the smallest run index, so parent[i] <= i
+    and one ascending pass flattens the forest.
 
     With `return_keys`, also returns each component's distinct t-subsets
     (as masks), aligned with the components: the t-shadow of the component.
     """
-    parent = list(range(len(masks)))
-    first: dict[int, int] = {}  # t-subset mask -> first edge index holding it
-    setdefault = first.setdefault
-    for idx, mask in enumerate(masks):
+    parent = list(range(len(runs)))
+    classes: dict[int, list[tuple[int, int]]] = {}  # key Q -> disjoint (bits, run)
+    get = classes.get
+    for idx, (top, low) in enumerate(runs):
         root = idx
-        for key in _sub_masks(mask, t):
-            prev = setdefault(key, idx)
-            if prev == idx:
+        for key in _sub_masks(top, t - 1):
+            bits = low | (top & ((key & -key) - 1))
+            old = get(key)
+            if old is None:
+                classes[key] = [(bits, idx)]
                 continue
-            while parent[prev] != prev:
-                parent[prev] = prev = parent[parent[prev]]
-            if prev < root:
-                parent[root] = root = prev
-            elif prev > root:
-                parent[prev] = root
+            kept = []
+            merged = bits
+            for cls in old:
+                cbits, prev = cls
+                if not cbits & bits:
+                    kept.append(cls)
+                    continue
+                merged |= cbits
+                while parent[prev] != prev:
+                    parent[prev] = prev = parent[parent[prev]]
+                if prev < root:
+                    parent[root] = root = prev
+                elif prev > root:
+                    parent[prev] = root
+            kept.append((merged, idx))
+            classes[key] = kept
     groups: dict[int, list[int]] = {}
     for idx in range(len(parent)):
         root = parent[idx] = parent[parent[idx]]
@@ -237,8 +273,13 @@ def _component_indices(
     if not return_keys:
         return list(groups.values())
     keys: dict[int, list[int]] = {root: [] for root in groups}
-    for key, idx in first.items():
-        keys[parent[idx]].append(key)
+    for key, kept in classes.items():
+        for bits, idx in kept:
+            out = keys[parent[idx]]
+            while bits:
+                low = bits & -bits
+                out.append(key | low)
+                bits ^= low
     return list(groups.values()), list(keys.values())
 
 
@@ -246,7 +287,7 @@ def t_tight_components(h: Hypergraph, t: int) -> ComponentPartition:
     """t-tight components of h: transitive closure of |e ∩ f| >= t merges."""
     if not 1 <= t <= h.k - 1:
         raise ValueError(f"need 1 <= t <= k-1, got t={t}, k={h.k}")
-    return ComponentPartition(t=t, components=_component_indices(h.edges, t))
+    return ComponentPartition(t=t, components=_component_indices(edge_runs(h.edges), t))
 
 
 def _shadow_members(masks: Iterable[int], s: int, k: int) -> set[int]:
@@ -298,53 +339,113 @@ def color_buckets(
     return masks, ranks
 
 
+def color_runs(c: Coloring) -> tuple[list[list[tuple[int, int]]], list[list[int]]]:
+    """Each color's runs in colex order, and the colex rank of bit 0 of each run.
+
+    For a (k-1)-set `top` with lowest vertex a >= 2, the edges top | x with
+    x < a sit at consecutive colex ranks base .. base + a - 2, so edge
+    top | x has rank base + (bit index of x). Run (top, low) of color i
+    holds the x whose edges have color i; a top whose block holds no edge of
+    color i gives no run. Bucket 0 stays empty.
+
+    The colors are checked first, as in `color_buckets`. Up to 255 colors,
+    each color's block is one `int(..., 2)` of a byte slice of the coloring,
+    and the last color is the rest of the block. Above 255, colors do not
+    fit in a byte, and every edge is a run of its own.
+    """
+    _check_colors(c.colors, c.r)
+    r = c.r
+    if r > 255:
+        masks, ranks = color_buckets(c.colors, r, colex_edges(c.n, c.k))
+        bases = [
+            [rank + 1 - (e & -e).bit_length() for e, rank in zip(ms, rs)]
+            for ms, rs in zip(masks, ranks)
+        ]
+        return [edge_runs(ms) for ms in masks], bases
+    m = len(c.colors)
+    blocks = []  # (top, base, slice start, slice end)
+    base = 0
+    for top in colex_edges(c.n, c.k - 1):
+        size = (top & -top).bit_length() - 1
+        if size:
+            blocks.append((top, base, m - base - size, m - base))
+        base += size
+    # int(..., 2) reads the last character as bit 0, so the colors are
+    # reversed: the last character of a block's slice is the edge top | 1
+    reverse = bytes(c.colors)[::-1]
+    rest = [(1 << (hi - lo)) - 1 for _, _, lo, hi in blocks]
+    runs: list[list[tuple[int, int]]] = [[] for _ in range(r + 1)]
+    bases: list[list[int]] = [[] for _ in range(r + 1)]
+    for col in range(1, r):
+        bits = reverse.translate(b"0" * col + b"1" + b"0" * (255 - col))
+        col_runs, col_bases = runs[col], bases[col]
+        for i, (top, base, lo, hi) in enumerate(blocks):
+            low = int(bits[lo:hi], 2)
+            if low:
+                col_runs.append((top, low))
+                col_bases.append(base)
+                rest[i] ^= low
+    for (top, base, _, _), low in zip(blocks, rest):
+        if low:
+            runs[r].append((top, low))
+            bases[r].append(base)
+    return runs, bases
+
+
 def component_shadows(
-    masks: Sequence[int], t: int, ss: Sequence[int], k: int
+    runs: Sequence[tuple[int, int]], t: int, ss: Sequence[int], k: int
 ) -> Iterator[tuple[list[int], tuple[int, ...]]]:
-    """Each t-tight component of the k-edges `masks` (edge indices, ordered by
+    """Each t-tight component of the runs of k-edges (run indices, ordered by
     first index) with its s-shadow count for every s in `ss`, in that order.
 
     A generator: a caller that stops early skips the remaining components.
     """
-    if not masks:
+    if not runs:
         return
     # An s-subset of an edge with s <= t lies in one of its t-subsets, so
     # for s <= t the shadow comes from the component's t-subset keys.
-    comps, comp_keys = _component_indices(masks, t, return_keys=True)
+    comps, comp_keys = _component_indices(runs, t, return_keys=True)
     for comp, keys in zip(comps, comp_keys):
-        comp_masks = None
         counts = []
         for s in ss:
             if s == k:
-                counts.append(len(comp))
+                counts.append(sum(runs[i][1].bit_count() for i in comp))
             elif s == t:
                 counts.append(len(keys))
             elif s < t:
                 counts.append(len(_shadow_members(keys, s, t)))
             else:
-                if comp_masks is None:
-                    comp_masks = [masks[i] for i in comp]
-                counts.append(len(_shadow_members(comp_masks, s, k)))
-        del comp_masks  # not held while the caller works on the component
+                # the (Q, bits) pairs of the s-sets, OR-ed per Q over the runs
+                shade: dict[int, int] = {}
+                get = shade.get
+                for i in comp:
+                    top, low = runs[i]
+                    for key in _sub_masks(top, s - 1):
+                        shade[key] = get(key, 0) | low | (top & ((key & -key) - 1))
+                counts.append(sum(bits.bit_count() for bits in shade.values()))
         yield comp, tuple(counts)
 
 
 def measure(c: Coloring, t: int, s: int) -> MeasureResult:
     """Largest s-shadow over monochromatic t-tight components of the coloring.
 
-    Ties are broken by (color index, smallest contained edge rank). One colex
-    pass buckets every edge of K^k_n by color, so all C(n, k) edge masks are
-    held at once.
+    Ties are broken by (color index, smallest contained edge rank). Each
+    color's edges are held as runs (`color_runs`), about C(n, k-1) per color,
+    not as C(n, k) edge masks.
     """
     k = c.k
     _check_tsk(k, t, s)
-    by_color_masks, by_color_ranks = color_buckets(c.colors, c.r, colex_edges(c.n, k))
-    best: tuple[int, int, frozenset[int]] | None = None
+    runs, bases = color_runs(c)
+    best: tuple[int, int, list[int]] | None = None
     for col in range(1, c.r + 1):
-        ranks = by_color_ranks[col]
-        for comp, (cnt,) in component_shadows(by_color_masks[col], t, (s,), k):
+        for comp, (cnt,) in component_shadows(runs[col], t, (s,), k):
             if best is None or cnt > best[0]:
-                best = (cnt, col, frozenset(ranks[i] for i in comp))
+                best = (cnt, col, comp)
     if best is None:
         return MeasureResult(0, 0, frozenset())
-    return MeasureResult(value=best[0], witness_color=best[1], witness_component=best[2])
+    cnt, col, comp = best
+    ranks: list[int] = []
+    for i in comp:
+        # bit j of the run's low mask is the edge of rank base + j
+        ranks += compress(count(bases[col][i]), map("1".__eq__, bin(runs[col][i][1])[:1:-1]))
+    return MeasureResult(value=cnt, witness_color=col, witness_component=frozenset(ranks))

@@ -17,8 +17,9 @@ from .core import (
     _component_indices,  # unused; perfbench/test_perfbench.py reads properties._component_indices
     _shadow_members,
     colex_edges,
-    color_buckets,
+    color_runs,
     component_shadows,
+    edge_runs,
     mask_to_vertices,
 )
 from .search import random_coloring, verify_r2a
@@ -42,10 +43,10 @@ def _max_shadow_by_ts(c: Coloring) -> dict[tuple[int, int], int]:
     k = c.k
     ss = range(1, k + 1)
     out = {(t, s): 0 for t in range(1, k) for s in ss}
-    by_color, _ = color_buckets(c.colors, c.r, colex_edges(c.n, k))
-    for masks in by_color[1:]:
+    by_color, _ = color_runs(c)
+    for runs in by_color[1:]:
         for t in range(1, k):
-            for _, counts in component_shadows(masks, t, ss, k):
+            for _, counts in component_shadows(runs, t, ss, k):
                 for s, cnt in zip(ss, counts):
                     if cnt > out[(t, s)]:
                         out[(t, s)] = cnt
@@ -102,11 +103,12 @@ def verify_density(trials: int = 300, seed: int = 0) -> dict:
         g = random_hypergraph(n, k, rng)
         delta = len(g.edges) / math.comb(n, k)
         ss = range(1, k + 1)
+        runs = edge_runs(g.edges)
         for t in range(1, k):
             need = [bounds.density_component_bound(n, k, t, s, delta) - SLACK for s in ss]
             if not any(
                 all(cnt >= lo for cnt, lo in zip(counts, need))
-                for _, counts in component_shadows(g.edges, t, ss, k)
+                for _, counts in component_shadows(runs, t, ss, k)
             ):
                 violations.append({"n": n, "k": k, "t": t, "delta": delta})
     return {"suite": "density", "trials": trials, "seed": seed, "violations": violations}

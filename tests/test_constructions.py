@@ -84,6 +84,16 @@ def test_two_clique_blue_count_small():
         assert blue == math.comb(n, 3) - math.comb(a, 3) - math.comb(n - a, 3)
 
 
+def test_measure_closed_forms_at_n40():
+    # the forms the benchmark pins at n = 120, on the byte-slice path of measure
+    n = 40
+    a = int((math.sqrt(21) - 3) / 2 * n)
+    assert measure(two_clique_coloring(n), 1, 3).value == (
+        math.comb(n, 3) - math.comb(a, 3) - math.comb(n - a, 3)
+    )
+    assert measure(majority_coloring(n), 2, 2).value == math.comb(n, 2) - math.comb(n // 2, 2)
+
+
 def test_blow_up_identity_at_base_size():
     c0 = random_coloring(6, 2, 3, seed=42)
     assert blow_up(c0, 6).colors == c0.colors

@@ -13,7 +13,9 @@ from monotight.core import (
     colex_rank,
     colex_unrank,
     color_buckets,
+    color_runs,
     component_shadows,
+    edge_runs,
     mask_to_vertices,
     measure,
     shadow,
@@ -49,6 +51,35 @@ def naive_components(edges, t):
             if changed:
                 break
     return sorted(tuple(sorted(s)) for s in sets)
+
+
+def naive_measure(c, t, s):
+    """measure from naive_components and explicit shadow sets, per color in
+    index order and per component in order of its smallest edge rank."""
+    edges = list(colex_edges(c.n, c.k))
+    best = (0, 0, frozenset())
+    for col in range(1, c.r + 1):
+        ranks = [i for i, x in enumerate(c.colors) if x == col]
+        for comp in naive_components([edges[i] for i in ranks], t):
+            cnt = shadow([edges[ranks[i]] for i in comp], s).count
+            if best[1] == 0 or cnt > best[0]:
+                best = (cnt, col, frozenset(ranks[i] for i in comp))
+    return best
+
+
+def oracle_colorings():
+    """Seeded colorings with k in 2..5, r in 1..4 and n <= 9: uniform ones,
+    and ones where every color but 1 is rare (empty or one-edge runs)."""
+    rng = random.Random(29)
+    for k, ns in ((2, range(2, 10)), (3, range(3, 10)), (4, range(4, 9)), (5, range(5, 8))):
+        for n in ns:
+            m = math.comb(n, k)
+            for r in (1, 2, 3, 4):
+                yield Coloring(n, k, r, [rng.randint(1, r) for _ in range(m)])
+                rare = [1] * m
+                for i in rng.sample(range(m), min(m, r - 1)):
+                    rare[i] = rng.randint(2, r) if r > 1 else 1
+                yield Coloring(n, k, r, rare)
 
 
 class TestColexRanking:
@@ -141,7 +172,7 @@ class TestComponents:
             if not edges:
                 continue
             t = rng.randint(1, 2)
-            got = sorted(tuple(c) for c in _component_indices(edges, t))
+            got = sorted(tuple(c) for c in _component_indices(edge_runs(edges), t))
             assert got == naive_components(edges, t)
 
     def test_order_independence(self):
@@ -153,12 +184,12 @@ class TestComponents:
             if not edges:
                 continue
             t = rng.randint(1, 2)
-            base = {frozenset(edges[i] for i in c) for c in _component_indices(edges, t)}
+            base = {frozenset(edges[i] for i in c) for c in _component_indices(edge_runs(edges), t)}
             shuffled = edges[:]
             rng.shuffle(shuffled)
             other = {
                 frozenset(shuffled[i] for i in c)
-                for c in _component_indices(shuffled, t)
+                for c in _component_indices(edge_runs(shuffled), t)
             }
             assert base == other
 
@@ -170,10 +201,11 @@ class TestComponents:
             edges = [e for e in colex_edges(n, k) if rng.random() < 0.3]
             t = rng.randint(1, k - 1)
             ss = range(1, k + 1)
-            got = list(component_shadows(edges, t, ss, k))
-            assert [comp for comp, _ in got] == _component_indices(edges, t)
-            comps, keys = _component_indices(edges, t, return_keys=True)
-            assert comps == _component_indices(edges, t)
+            runs = edge_runs(edges)
+            got = list(component_shadows(runs, t, ss, k))
+            assert [comp for comp, _ in got] == _component_indices(runs, t)
+            comps, keys = _component_indices(runs, t, return_keys=True)
+            assert comps == _component_indices(runs, t)
             for comp, comp_keys in zip(comps, keys):
                 assert len(comp_keys) == len(set(comp_keys))
                 assert set(comp_keys) == shadow([edges[i] for i in comp], t).members
@@ -193,6 +225,20 @@ class TestColorBuckets:
             assert c.color_class(col).edges == masks[col]
         for col in (-1, 0, 4):
             assert c.color_class(col).edges == []
+
+    def test_expanded_runs_are_the_buckets(self):
+        for c in oracle_colorings():
+            runs, bases = color_runs(c)
+            masks, ranks = color_buckets(c.colors, c.r, colex_edges(c.n, c.k))
+            for col in range(c.r + 1):
+                expanded = [
+                    (top | (1 << j), base + j)
+                    for (top, low), base in zip(runs[col], bases[col])
+                    for j in range(low.bit_length())
+                    if low >> j & 1
+                ]
+                assert all(low and low < (top & -top) for top, low in runs[col])
+                assert expanded == list(zip(masks[col], ranks[col])), (c.n, c.k, c.r, col)
 
     @pytest.mark.parametrize("bad", [0, -1, 3])
     def test_colors_mutated_out_of_range_raise(self, bad):
@@ -249,6 +295,25 @@ class TestShadow:
 
 
 class TestMeasure:
+    def test_matches_naive_oracle(self):
+        # value, witness color and witness component, for every (t, s)
+        for c in oracle_colorings():
+            for t in range(1, c.k):
+                for s in range(1, c.k + 1):
+                    res = measure(c, t, s)
+                    got = (res.value, res.witness_color, res.witness_component)
+                    assert got == naive_measure(c, t, s), (c.n, c.k, c.r, t, s)
+
+    def test_colors_above_one_byte_match_naive_oracle(self):
+        rng = random.Random(31)
+        colors = [rng.randint(1, 300) for _ in range(math.comb(8, 3))]
+        colors[:2] = [1, 300]
+        c = Coloring(8, 3, 300, colors)
+        for t in (1, 2):
+            for s in (1, 2, 3):
+                res = measure(c, t, s)
+                assert (res.value, res.witness_color, res.witness_component) == naive_measure(c, t, s)
+
     def test_all_red_spans(self):
         assert measure(all_red(5, 3, 2), 1, 1).value == 5
 
@@ -295,7 +360,7 @@ class TestMeasure:
             edges = []
             for e in pool[: rng.randint(2, len(pool))]:
                 edges.append(e)
-                cur = max(cnt for _, (cnt,) in component_shadows(edges, t, (s,), 3))
+                cur = max(cnt for _, (cnt,) in component_shadows(edge_runs(edges), t, (s,), 3))
                 assert cur >= prev
                 prev = cur
 

@@ -4,7 +4,7 @@ import pytest
 
 from monotight import bounds, search
 from monotight.constructions import all_red, majority_coloring, parity_coloring
-from monotight.core import Coloring, colex_edges, color_buckets, component_shadows, measure
+from monotight.core import Coloring, colex_edges, color_buckets, component_shadows, edge_runs, measure
 from monotight.search import brute_force_M, exact_M, random_coloring, verify_r2a
 
 
@@ -201,7 +201,7 @@ def test_r2a_bitmask_closure_matches_component_shadows(n, k, t, s):
         by_color, by_rank = color_buckets(colors, 2, masks)
         for col, cls in ((1, red), (2, everything ^ red)):
             assert cls == sum(1 << i for i in by_rank[col])
-            expected = any(cnt == target for _, (cnt,) in component_shadows(by_color[col], t, (s,), k))
+            expected = any(cnt == target for _, (cnt,) in component_shadows(edge_runs(by_color[col]), t, (s,), k))
             assert search._has_complete_component(cls, adj, shade, full) == expected
 
 
