@@ -1,5 +1,7 @@
-"""Exact computation of M(n,r,k,t,s) by branch-and-bound over colorings,
-plus exhaustive verification of the two-coloring complete-shadow theorem."""
+"""Exact computation of M(n,r,k,t,s) by branch-and-bound over colorings.
+
+The two-coloring complete-shadow theorem is verified as one such proof:
+M(n, 2, k, t, s) = C(n, s)."""
 
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from .core import (
     measure,
 )
 
-R2A_MAX_EDGES = 25  # verify_r2a enumerates 2^(C(n,k)-1) colorings
+R2A_MAX_EDGES = 25  # largest C(n,k) verify_r2a takes; its exact_M proof covers 2^(C(n,k)-1) colorings
 
 
 @dataclass
@@ -60,23 +62,22 @@ def _initial_incumbent(n: int, r: int, k: int, t: int, s: int) -> tuple[int, Col
 def _edge_tables(n: int, k: int, t: int, s: int) -> tuple[list[int], list[int]]:
     """Per-edge bitmask tables over the colex edge indices of K^k_n.
 
-    adj[i] has bit j set when |e_i ∩ e_j| >= t (bit i included). It is the
-    OR, over the t-subsets of e_i, of the mask of edges containing each one.
-    shade[i] has bit j set when the s-set of colex index j lies in e_i, so
-    the s-shadow of an edge set is the OR of its edges' shade masks, and it
-    is complete when all C(n, s) bits are set.
+    adj[i] has bit j set when j < i and |e_i ∩ e_j| >= t: `exact_M` at edge
+    i only meets components of earlier edges. It is built in one ascending
+    pass as the OR, over the t-subsets of e_i, of the mask of earlier edges
+    containing each one. shade[i] has bit j set when the s-set of colex
+    index j lies in e_i, so the s-shadow of an edge set is the OR of its
+    edges' shade masks, and it is complete when all C(n, s) bits are set.
     """
     masks = list(colex_edges(n, k))
-    t_subs = [_sub_masks(e, t) for e in masks]
     containing: dict[int, int] = {}
-    for i, keys in enumerate(t_subs):
-        for key in keys:
-            containing[key] = containing.get(key, 0) | 1 << i
     adj = []
-    for keys in t_subs:
+    for i, e in enumerate(masks):
         near = 0
-        for key in keys:
-            near |= containing[key]
+        for key in _sub_masks(e, t):
+            before = containing.get(key, 0)
+            near |= before
+            containing[key] = before | 1 << i
         adj.append(near)
     s_index = {key: j for j, key in enumerate(colex_edges(n, s))}
     shade = [sum(1 << s_index[key] for key in _sub_masks(e, s)) for e in masks]
@@ -186,62 +187,16 @@ def brute_force_M(n: int, r: int, k: int, t: int, s: int) -> int:
     return best
 
 
-def _has_complete_component(cls: int, adj: list[int], shade: list[int], full: int) -> bool:
-    """Whether some t-tight component of the edge set `cls` (a bitmask over
-    edge indices) has complete s-shadow.
-
-    Each component is the closure of its lowest edge under adj restricted to
-    cls; its s-shadow is the OR of its edges' shade masks, so the search
-    stops as soon as that OR is full.
-    """
-    while cls:
-        comp = frontier = cls & -cls
-        covered = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            j = low.bit_length() - 1
-            covered |= shade[j]
-            if covered == full:
-                return True
-            grow = adj[j] & cls & ~comp
-            comp |= grow
-            frontier |= grow
-        cls &= ~comp
-    return False
-
-
-def _r2a_first_failure(n: int, k: int, t: int, s: int) -> tuple[int, list[int] | None]:
-    """Enumerate the 2-colorings of K^k_n with edge 0 red, in order of the
-    integer whose bit j is set when edge j + 1 is blue. Returns the number of
-    colorings checked and the first one (as colors 1/2 by colex rank) in which
-    no monochromatic t-tight component has complete s-shadow, or None."""
-    adj, shade = _edge_tables(n, k, t, s)
-    full = (1 << math.comb(n, s)) - 1
-    m = len(adj)
-    everything = (1 << m) - 1
-    for bits in range(1 << (m - 1)):
-        red = everything ^ (bits << 1)
-        if not (
-            _has_complete_component(red, adj, shade, full)
-            or _has_complete_component(everything ^ red, adj, shade, full)
-        ):
-            return bits + 1, [1] + [1 + ((bits >> j) & 1) for j in range(m - 1)]
-    return 1 << (m - 1), None
-
-
 def verify_r2a(n: int, k: int, t: int, s: int) -> dict:
     """Exhaustively check that every 2-coloring of K^k_n has a monochromatic
     t-tight component with complete s-shadow (requires 2*max(t,s) <= k).
 
-    Iterates all colorings with the first edge fixed red (color-swap
-    symmetry), so at most 2^(R2A_MAX_EDGES - 1) of them; larger cases raise
-    ValueError. Each coloring is one integer, and its red and blue classes
-    are bitmasks over the colex edge indices. With the adj and shade tables
-    of `_edge_tables`, built once per case (the same ones `exact_M` uses), a
-    component is the bitmask closure of its lowest edge under adj, and its
-    s-shadow is complete when the OR of its edges' shade masks has all
-    C(n, s) bits set. Returns a report dict; 'counterexample' is None on pass.
+    That holds exactly when M(n, 2, k, t, s) = C(n, s), so this is one
+    `exact_M` proof compared with C(n, s). Its search fixes edge 0 to color 1
+    (color-swap symmetry), so the proof covers all 2^(m-1) such colorings;
+    cases with more than R2A_MAX_EDGES edges raise ValueError. Returns a
+    report dict; 'counterexample' is None on pass, else the colors of
+    `exact_M`'s minimizing witness, and 'nodes' is the search's node count.
     """
     if 2 * max(t, s) > k:
         raise ValueError(f"hypothesis 2*max(t,s) <= k violated: t={t}, s={s}, k={k}")
@@ -253,13 +208,15 @@ def verify_r2a(n: int, k: int, t: int, s: int) -> dict:
             f"C({n},{k}) = {m} edges exceeds {R2A_MAX_EDGES}: "
             f"2^{m - 1} colorings are too many to enumerate"
         )
-    checked, counterexample = _r2a_first_failure(n, k, t, s)
+    res = exact_M(n, 2, k, t, s)
+    complete = res.value == math.comb(n, s)
     return {
-        "pass": counterexample is None,
+        "pass": complete,
         "n": n,
         "k": k,
         "t": t,
         "s": s,
-        "colorings_checked": checked,
-        "counterexample": counterexample,
+        "colorings_checked": 1 << (m - 1),
+        "nodes": res.nodes_explored,
+        "counterexample": None if complete else res.witness.colors,
     }

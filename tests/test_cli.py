@@ -44,6 +44,19 @@ def test_verify_r2a_exit_zero(capsys):
     assert rep["cases"][0]["pass"]
 
 
+def test_verify_r2a_failed_proof_exits_1(monkeypatch, capsys):
+    witness = constructions.all_red(5, 4, 2)
+
+    def short(n, r, k, t, s, budget=None):
+        return search.SearchResult(math.comb(n, s) - 1, witness, "exact", 1, 0.0)
+
+    monkeypatch.setattr(search, "exact_M", short)
+    code, rep = run(capsys, "verify", "r2a", "--n", "5", "--k", "4", "--t", "1", "--s", "2")
+    assert code == 1
+    assert len(rep["violations"]) == 1
+    assert rep["violations"][0]["counterexample"] == witness.colors
+
+
 def test_components_and_shadow(tmp_path, capsys):
     path = tmp_path / "h.hg"
     path.write_text("7 3\n1 2 3\n3 4 5\n5 6 7\n")

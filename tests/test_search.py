@@ -4,7 +4,7 @@ import pytest
 
 from monotight import bounds, search
 from monotight.constructions import all_red, majority_coloring, parity_coloring
-from monotight.core import Coloring, colex_edges, color_buckets, component_shadows, edge_runs, measure
+from monotight.core import Coloring, colex_edges, measure
 from monotight.search import brute_force_M, exact_M, random_coloring, verify_r2a
 
 
@@ -34,6 +34,11 @@ def test_exact_matches_brute_force_oracle():
         (5, 2, 4, 3, 2),
         (5, 3, 4, 2, 1),
         (5, 3, 4, 3, 2),
+        # two colors outside 2*max(t, s) <= k, where M(n, 2, k, t, s) < C(n, s)
+        (5, 2, 3, 2, 2),
+        (5, 2, 3, 1, 2),
+        (5, 2, 4, 2, 3),
+        (6, 2, 5, 1, 3),
     ]
     for n, r, k, t, s in cases:
         assert math.comb(n, k) <= 12
@@ -86,6 +91,12 @@ def test_budget_is_never_overshot(inst):
         ((6, 2, 3, 2, 3), None, (9, "exact", 48875)),
         ((6, 2, 3, 1, 3), None, (10, "exact", 184755)),
         ((6, 3, 3, 2, 2), None, (9, "exact", 95952)),
+        # the default r2a cases, with (5, 2, 4, 1, 2) above
+        ((5, 2, 4, 1, 1), None, (5, "exact", 5)),
+        ((6, 2, 4, 1, 2), None, (15, "exact", 2423)),
+        ((6, 2, 4, 2, 2), None, (15, "exact", 2423)),
+        ((5, 2, 2, 1, 1), None, (5, "exact", 227)),
+        ((6, 2, 2, 1, 1), None, (6, "exact", 3415)),
     ],
 )
 def test_search_tree_node_counts(inst, budget, expected):
@@ -180,53 +191,51 @@ def test_edge_tables_match_their_definitions(n, k, t, s):
     masks = list(colex_edges(n, k))
     s_sets = list(colex_edges(n, s))
     assert len(adj) == len(shade) == len(masks)
-    for e, near, covered in zip(masks, adj, shade):
-        assert near == sum(1 << j for j, f in enumerate(masks) if (e & f).bit_count() >= t)
+    for i, (e, near, covered) in enumerate(zip(masks, adj, shade)):
+        assert near == sum(1 << j for j, f in enumerate(masks[:i]) if (e & f).bit_count() >= t)
         assert covered == sum(1 << j for j, f in enumerate(s_sets) if f & e == f)
-
-
-@pytest.mark.parametrize("n, k, t, s", R2A_GRID)
-def test_r2a_bitmask_closure_matches_component_shadows(n, k, t, s):
-    # every 2-coloring with edge 0 red: the bitmask predicate on each color
-    # class equals "some component from component_shadows has C(n, s)"
-    adj, shade = search._edge_tables(n, k, t, s)
-    full = (1 << math.comb(n, s)) - 1
-    masks = list(colex_edges(n, k))
-    m = len(masks)
-    everything = (1 << m) - 1
-    target = math.comb(n, s)
-    for bits in range(1 << (m - 1)):
-        red = everything ^ (bits << 1)
-        colors = [1] + [1 + ((bits >> j) & 1) for j in range(m - 1)]
-        by_color, by_rank = color_buckets(colors, 2, masks)
-        for col, cls in ((1, red), (2, everything ^ red)):
-            assert cls == sum(1 << i for i in by_rank[col])
-            expected = any(cnt == target for _, (cnt,) in component_shadows(edge_runs(by_color[col]), t, (s,), k))
-            assert search._has_complete_component(cls, adj, shade, full) == expected
 
 
 @pytest.mark.parametrize(
     "case, expected",
+    # (M(n, 2, k, t, s), C(n, s))
     [
-        # measured with the per-coloring color_buckets/component_shadows loop
-        ((5, 3, 2, 2), (64, [1, 2, 2, 2, 2, 2, 2, 1, 1, 1])),
-        ((5, 3, 1, 2), (68, [1, 2, 2, 1, 1, 1, 1, 2, 1, 1])),
-        ((5, 4, 2, 3), (4, [1, 2, 2, 1, 1])),
-        ((4, 3, 2, 3), (2, [1, 2, 1, 1])),
-        ((6, 5, 1, 3), (8, [1, 2, 2, 2, 1, 1])),
+        ((5, 3, 2, 2), (9, 10)),
+        ((5, 3, 1, 2), (9, 10)),
+        ((5, 4, 2, 3), (9, 10)),
+        ((4, 3, 2, 3), (2, 4)),
+        ((6, 5, 1, 3), (19, 20)),
     ],
 )
 def test_r2a_first_failure_outside_hypothesis(case, expected):
+    # outside 2*max(t, s) <= k some 2-coloring has no complete component:
+    # M(n, 2, k, t, s) < C(n, s), and the witness is such a coloring
     n, k, t, s = case
-    checked, counterexample = search._r2a_first_failure(n, k, t, s)
-    assert (checked, counterexample) == expected
-    # independently: no monochromatic component of the counterexample is complete
-    assert measure(Coloring(n, k, 2, counterexample), t, s).value < math.comb(n, s)
+    res = exact_M(n, 2, k, t, s)
+    assert (res.value, math.comb(n, s)) == expected
+    assert measure(res.witness, t, s).value == res.value
+
+
+def test_verify_r2a_reports_the_witness_of_a_failed_proof(monkeypatch):
+    n, k, t, s = 5, 4, 1, 2
+    witness = Coloring(n, k, 2, [1, 2, 2, 1, 2])
+
+    def short(*args, **kwargs):
+        return search.SearchResult(math.comb(n, s) - 1, witness, "exact", 7, 0.0)
+
+    monkeypatch.setattr(search, "exact_M", short)
+    rep = verify_r2a(n, k, t, s)
+    assert rep["pass"] is False
+    assert rep["counterexample"] == witness.colors
+    assert rep["nodes"] == 7
 
 
 def test_verify_r2a_default_cases_checked():
-    counts = [
-        verify_r2a(*case)["colorings_checked"]
+    reports = [
+        verify_r2a(*case)
         for case in [(5, 4, 1, 1), (5, 4, 1, 2), (6, 4, 1, 2), (6, 4, 2, 2), (5, 2, 1, 1), (6, 2, 1, 1)]
     ]
-    assert counts == [16, 16, 16384, 16384, 512, 16384]
+    assert all(rep["pass"] and rep["counterexample"] is None for rep in reports)
+    assert [rep["colorings_checked"] for rep in reports] == [16, 16, 16384, 16384, 512, 16384]
+    # the exact_M node counts pinned in test_search_tree_node_counts
+    assert [rep["nodes"] for rep in reports] == [5, 19, 2423, 2423, 227, 3415]
