@@ -15,6 +15,7 @@ from typing import Callable
 from .core import _check_tsk
 
 ROOT_TOL = 1e-12
+REFINE_ITERS = 120  # golden-section steps per refinement in optimize_2323
 _GOLD = (math.sqrt(5) - 1) / 2
 
 
@@ -34,18 +35,11 @@ def kk_root(m: float, k: int) -> float:
         raise ValueError("m must be at least 1")
     if k < 1:
         raise ValueError("k must be at least 1")
-    lo = float(k)
     hi = float(k) + 1.0
     while binom_real(hi, k) < m:
         hi = k + 2 * (hi - k)
     # binom_real is strictly increasing in x on [k, inf)
-    while hi - lo > ROOT_TOL:
-        mid = (lo + hi) / 2
-        if binom_real(mid, k) < m:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    return _bisect_root(lambda x: binom_real(x, k) - m, float(k), hi, ROOT_TOL)
 
 
 def kk_shadow_bound(m: int, k: int, s: int) -> float:
@@ -77,13 +71,15 @@ def density_component_bound(n: int, k: int, t: int, s: int, delta: float) -> flo
 
 def asymptotic_upper_bound(n: int, r: int, k: int, t: int, s: int, eps: float) -> float:
     """(1+eps) * r^(-s/(k-t)) * C(n, s)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     return (1 + eps) * general_lower_bound(n, r, k, t, s)
 
 
 def fg_vertex_bound(n: int, r: int, k: int) -> tuple[int, float]:
     """Smallest q with r <= q^(k-1) + ... + q + 1, and the vertex bound n/q."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if r < 1:
         raise ValueError("r must be at least 1")
     if k < 2:
@@ -96,6 +92,8 @@ def fg_vertex_bound(n: int, r: int, k: int) -> tuple[int, float]:
 
 def reference_bounds(n: int, r: int) -> dict[str, float]:
     """Graph-case reference values for comparison output."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if r < 2:
         raise ValueError("r must be at least 2")
     return {
@@ -121,11 +119,15 @@ def _golden_min(fun: Callable[[float], float], a: float, b: float, iters: int) -
 
 
 def _bisect_root(fun: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
+    """A root of fun in [lo, hi], halved down to width tol, or to adjacent
+    floats when tol is below their spacing there."""
     flo = fun(lo)
     if flo * fun(hi) > 0:
         raise ValueError("root not bracketed")
     while hi - lo > tol:
         mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            break
         if flo * fun(mid) <= 0:
             hi = mid
         else:
@@ -147,7 +149,7 @@ class MinMaxResult:
     lower_certificate: float
 
 
-def optimize_2323(grid_step: float = 0.005, refine_iters: int = 120) -> MinMaxResult:
+def optimize_2323(grid_step: float = 0.005) -> MinMaxResult:
     """Minimize max(y^3 x^3, (1-y) x^3, (1-(1-x)^3 - y x^3)/2) over
     x in [0.5, 1], y in [0, 1].
 
@@ -159,8 +161,6 @@ def optimize_2323(grid_step: float = 0.005, refine_iters: int = 120) -> MinMaxRe
     """
     if not 0 < grid_step <= 0.1:
         raise ValueError("grid_step must lie in (0, 0.1]")
-    if refine_iters < 0:
-        raise ValueError("refine_iters must be nonnegative")
     nx = int(round(0.5 / grid_step))
     ny = int(round(1.0 / grid_step))
     grid_min = math.inf
@@ -174,18 +174,13 @@ def optimize_2323(grid_step: float = 0.005, refine_iters: int = 120) -> MinMaxRe
                 grid_min, bx, by = v, x, y
 
     def inner_min(x: float) -> float:
-        y = _golden_min(lambda yy: _minmax_objective(x, yy), 0.0, 1.0, refine_iters)
+        y = _golden_min(lambda yy: _minmax_objective(x, yy), 0.0, 1.0, REFINE_ITERS)
         return _minmax_objective(x, y)
 
-    if refine_iters > 0:
-        x_star = _golden_min(
-            inner_min, max(0.5, bx - 2 * grid_step), min(1.0, bx + 2 * grid_step), refine_iters
-        )
-        y_star = _golden_min(
-            lambda yy: _minmax_objective(x_star, yy), 0.0, 1.0, refine_iters
-        )
-    else:
-        x_star, y_star = bx, by
+    x_star = _golden_min(
+        inner_min, max(0.5, bx - 2 * grid_step), min(1.0, bx + 2 * grid_step), REFINE_ITERS
+    )
+    y_star = _golden_min(lambda yy: _minmax_objective(x_star, yy), 0.0, 1.0, REFINE_ITERS)
     value = _minmax_objective(x_star, y_star)
     if value > grid_min:
         x_star, y_star, value = bx, by, grid_min
@@ -204,7 +199,7 @@ class SpecialConstants:
     lambda_target_2323: Fraction = field(default=Fraction(3, 8))
 
 
-def special_constants(grid_step: float = 0.005) -> SpecialConstants:
+def special_constants() -> SpecialConstants:
     """Constants of the two-coloring analysis.
 
     x0 is computed both in closed form, (sqrt(21)-3)/2, and as the root of
@@ -216,7 +211,7 @@ def special_constants(grid_step: float = 0.005) -> SpecialConstants:
         raise AssertionError("closed form and bisection disagree on x0")
     lam = 6 * math.sqrt(21) - 27
     z = _bisect_root(lambda z: (1 - z) ** 3 - z, 0.0, 1.0, 1e-14)
-    mm = optimize_2323(grid_step=grid_step)
+    mm = optimize_2323()
     return SpecialConstants(
         x0=x0_closed,
         lambda_2313=lam,
@@ -244,7 +239,10 @@ _BOUND_KINDS = {
 
 
 def evaluate_bound(kind: str, **params) -> BoundReport:
-    """Dispatch a named bound; returns a report with the evaluated value."""
+    """Dispatch a named bound; returns a report with the evaluated value.
+
+    A bound whose value leaves the float range raises ValueError.
+    """
     if kind not in _BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}")
     fun, names = _BOUND_KINDS[kind]
@@ -252,10 +250,18 @@ def evaluate_bound(kind: str, **params) -> BoundReport:
     if missing:
         raise ValueError(f"bound {kind!r} requires parameters {missing}")
     args = {p: params[p] for p in names}
-    if kind == "fg_vertex":
-        q, value = fg_vertex_bound(**args)
-        return BoundReport(kind=kind, params={**args, "q": q}, value=value)
-    if kind == "reference":
-        table = reference_bounds(**args)
-        return BoundReport(kind=kind, params={**args, **table}, value=table["spanning_vertices"])
-    return BoundReport(kind=kind, params=args, value=fun(**args))
+    extra: dict = {}
+    try:
+        if kind == "fg_vertex":
+            q, value = fg_vertex_bound(**args)
+            extra = {"q": q}
+        elif kind == "reference":
+            extra = reference_bounds(**args)
+            value = extra["spanning_vertices"]
+        else:
+            value = fun(**args)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"bound {kind!r} is out of float range")
+    return BoundReport(kind=kind, params={**args, **extra}, value=value)

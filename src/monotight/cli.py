@@ -17,7 +17,7 @@ from .core import Hypergraph, mask_to_vertices, measure, shadow, t_tight_compone
 
 
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _load_hypergraph(path: str) -> Hypergraph:
@@ -114,10 +114,10 @@ def _cmd_constants(args) -> int:
 def _cmd_construct(args) -> int:
     name = args.name
     if name != "steiner" and args.n is None:
-        raise SystemExit2(f"{name} requires --n")
+        raise ValueError(f"{name} requires --n")
     if name == "all_red":
         if args.r is None or args.k is None:
-            raise SystemExit2("all_red requires --r and --k")
+            raise ValueError("all_red requires --r and --k")
         c = constructions.all_red(args.n, args.k, args.r)
     elif name == "majority":
         c = constructions.majority_coloring(args.n)
@@ -127,7 +127,7 @@ def _cmd_construct(args) -> int:
         c = constructions.parity_coloring(args.n)
     else:
         if args.design is None:
-            raise SystemExit2("steiner requires --design")
+            raise ValueError("steiner requires --design")
         system = _resolve_design(args.design)
         if system.class_of is not None:
             classes = system.parallel_classes()
@@ -213,7 +213,7 @@ def _cmd_verify(args) -> int:
         if case == (None,) * 4:
             report = properties.verify_r2a_suite()
         elif None in case:
-            raise SystemExit2("r2a takes all of --n, --k, --t, --s or none of them")
+            raise ValueError("r2a takes all of --n, --k, --t, --s or none of them")
         else:
             report = properties.verify_r2a_suite([case])
     else:
@@ -224,10 +224,6 @@ def _cmd_verify(args) -> int:
     report = {"subcommand": "verify", **report}
     _emit(report)
     return 0 if not report["violations"] else 1
-
-
-class SystemExit2(Exception):
-    """Invalid input detected outside argparse."""
 
 
 def _positive_int(text: str) -> int:
@@ -321,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (fileio.FormatError, OSError, SystemExit2, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # fileio.FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a bug, not bad input; exit 1 would read as "violations found"

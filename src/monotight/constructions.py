@@ -1,5 +1,7 @@
 """Explicit colorings: constant, majority, two-clique, parity, blow-up, and
-design-induced colorings."""
+design-induced colorings. Majority, parity and two-clique are one count
+table over a vertex split each (`_two_part_coloring`).
+"""
 
 from __future__ import annotations
 
@@ -10,48 +12,45 @@ from .core import Coloring, _sub_masks, colex_edges, mask_to_vertices
 from .designs import SteinerSystem
 
 
-def _half_split(n: int) -> tuple[int, int]:
-    """Bitmasks for {1..ceil(n/2)} and its complement."""
-    hi = (n + 1) // 2
-    first = (1 << hi) - 1
-    return first, ((1 << n) - 1) ^ first
-
-
 def all_red(n: int, k: int, r: int) -> Coloring:
     """The constant coloring: every edge gets color 1."""
     return Coloring(n, k, r, [1] * math.comb(n, k))
 
 
-def majority_coloring(n: int) -> Coloring:
-    """k=3, r=2: red iff the edge has more vertices in {1..ceil(n/2)}."""
+def _two_part_coloring(n: int, a: int, by_count: tuple[int, ...]) -> Coloring:
+    """k=3, r=2: edge e gets color by_count[|e ∩ {1..a}|].
+
+    As in `core.color_runs`, for each 2-set top the edges top | x with
+    x < min(top) are consecutive in colex order, x ascending, so the block
+    is min(size, a) edges with count c + 1, then the rest with count c.
+    """
     if n < 3:
         raise ValueError("n must be at least 3")
-    red_side, _ = _half_split(n)
-    colors = [1 if (e & red_side).bit_count() >= 2 else 2 for e in colex_edges(n, 3)]
-    return Coloring(n, 3, 2, colors)
+    table = bytes(by_count)
+    part = (1 << a) - 1
+    colors = bytearray()
+    for top in colex_edges(n, 2):
+        size = (top & -top).bit_length() - 1
+        inside = min(size, a)
+        c = (top & part).bit_count()
+        colors += table[c + 1 : c + 2] * inside + table[c : c + 1] * (size - inside)
+    return Coloring(n, 3, 2, list(colors))
+
+
+def majority_coloring(n: int) -> Coloring:
+    """Red iff the edge has at least two vertices in {1..ceil(n/2)}."""
+    return _two_part_coloring(n, (n + 1) // 2, (2, 2, 1, 1))
 
 
 def two_clique_coloring(n: int) -> Coloring:
-    """k=3, r=2: red inside {1..floor(x0*n)} or inside its complement, blue
-    elsewhere, where x0 = (sqrt(21)-3)/2."""
-    if n < 3:
-        raise ValueError("n must be at least 3")
-    x0 = (math.sqrt(21) - 3) / 2
-    a = int(x0 * n)
-    part_a = (1 << a) - 1
-    part_b = ((1 << n) - 1) ^ part_a
-    colors = [1 if (e & ~part_a == 0 or e & ~part_b == 0) else 2 for e in colex_edges(n, 3)]
-    return Coloring(n, 3, 2, colors)
+    """Red inside {1..floor(x0*n)} or inside its complement, blue elsewhere,
+    where x0 = (sqrt(21)-3)/2."""
+    return _two_part_coloring(n, int((math.sqrt(21) - 3) / 2 * n), (1, 2, 2, 1))
 
 
 def parity_coloring(n: int) -> Coloring:
-    """k=3, r=2: red iff the edge meets {1..ceil(n/2)} in an odd number of
-    vertices."""
-    if n < 3:
-        raise ValueError("n must be at least 3")
-    u_r, _ = _half_split(n)
-    colors = [1 if (e & u_r).bit_count() % 2 == 1 else 2 for e in colex_edges(n, 3)]
-    return Coloring(n, 3, 2, colors)
+    """Red iff the edge meets {1..ceil(n/2)} in an odd number of vertices."""
+    return _two_part_coloring(n, (n + 1) // 2, (2, 1, 2, 1))
 
 
 def blow_up(c0: Coloring, n: int) -> Coloring:

@@ -44,6 +44,13 @@ def test_kk_root_inverts_binom_real_on_integers():
             assert bounds.kk_root(m, k) == pytest.approx(x, abs=1e-9)
 
 
+@pytest.mark.parametrize("m, k", [(10_000, 1), (100_000_000, 2)])
+def test_kk_root_past_float_spacing(m, k):
+    # the root is past 4,500, where 1e-12 is below one float spacing
+    root = bounds.kk_root(m, k)
+    assert bounds.binom_real(root, k) == pytest.approx(m, rel=1e-9)
+
+
 def test_kk_shadow_bound_examples():
     assert bounds.kk_shadow_bound(10, 3, 2) == pytest.approx(10, abs=1e-9)
     for n, k, s in [(7, 3, 2), (9, 4, 2), (10, 3, 1)]:

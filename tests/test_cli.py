@@ -5,6 +5,7 @@ import json
 import math
 import shlex
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -234,6 +235,33 @@ def test_measure_k_above_n_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "need 2 <= k <= n" in captured.err
+
+
+@pytest.mark.parametrize("m, k", [("10000", "1"), ("100000000", "2")])
+def test_kk_shadow_bound_with_large_m_returns(capsys, m, k):
+    start = time.perf_counter()
+    code, rep = run(capsys, "bound", "--kind", "kk_shadow", "--m", m, "--k", k, "--s", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert math.isfinite(rep["value"])
+
+
+BOUND_ARGS = {
+    "eps-nan": ["asymptotic_upper", "--n", "9", "--r", "2", "--k", "3", "--t", "1", "--s", "2", "--eps", "nan"],
+    "eps-inf": ["asymptotic_upper", "--n", "9", "--r", "2", "--k", "3", "--t", "1", "--s", "2", "--eps", "inf"],
+    "fg-n-negative": ["fg_vertex", "--n", "-4", "--r", "3", "--k", "2"],
+    "reference-n-zero": ["reference", "--n", "0", "--r", "2"],
+    "general-overflow": ["general_lower", "--n", "1" + "0" * 200, "--r", "2", "--k", "3", "--t", "1", "--s", "3"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUND_ARGS))
+def test_bad_bound_input_exits_2(capsys, case):
+    kind, *rest = BOUND_ARGS[case]
+    assert exit_code("bound", "--kind", kind, *rest) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "internal" not in captured.err
 
 
 @pytest.mark.parametrize("target", ["out", "coloring"])

@@ -27,12 +27,38 @@ def test_all_red():
     assert len(t_tight_components(h, 1).components) == 1
 
 
-def test_majority_definition_n4():
-    c = majority_coloring(4)
-    red_side = vertices_to_mask([1, 2])
-    for rank, e in enumerate(colex_edges(4, 3)):
-        expected = 1 if (e & red_side).bit_count() >= 2 else 2
-        assert c.colors[rank] == expected
+# reference oracle: the per-edge rule of each construction, one mask test per edge
+def _majority_rule(n):
+    half = vertices_to_mask(range(1, (n + 1) // 2 + 1))
+    return lambda e: 1 if (e & half).bit_count() >= 2 else 2
+
+
+def _parity_rule(n):
+    half = vertices_to_mask(range(1, (n + 1) // 2 + 1))
+    return lambda e: 1 if (e & half).bit_count() % 2 == 1 else 2
+
+
+def _two_clique_rule(n):
+    a = int((math.sqrt(21) - 3) / 2 * n)
+    part_a = vertices_to_mask(range(1, a + 1))
+    part_b = vertices_to_mask(range(a + 1, n + 1))
+    return lambda e: 1 if e & part_a == e or e & part_b == e else 2
+
+
+TWO_PART = {
+    "majority": (majority_coloring, _majority_rule),
+    "parity": (parity_coloring, _parity_rule),
+    "two_clique": (two_clique_coloring, _two_clique_rule),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_PART))
+def test_two_part_coloring_matches_per_edge_rule(name):
+    build, rule = TWO_PART[name]
+    for n in [*range(3, 41), 120]:
+        c = build(n)
+        assert (c.n, c.k, c.r) == (n, 3, 2)
+        assert c.colors == list(map(rule(n), colex_edges(n, 3))), n
 
 
 @pytest.mark.parametrize("n", range(4, 13))
@@ -214,7 +240,8 @@ def test_steiner_coloring_rejects_conflicting_class():
         steiner_coloring(d, [list(range(7))], t=1)
 
 
-def test_small_n_errors():
-    for fn in (majority_coloring, two_clique_coloring, parity_coloring):
-        with pytest.raises(ValueError):
-            fn(2)
+@pytest.mark.parametrize("name", sorted(TWO_PART))
+def test_small_n_errors(name):
+    build, _ = TWO_PART[name]
+    with pytest.raises(ValueError, match="^n must be at least 3$"):
+        build(2)
