@@ -84,10 +84,35 @@ def fg_vertex_bound(n: int, r: int, k: int) -> tuple[int, float]:
         raise ValueError("r must be at least 1")
     if k < 2:
         raise ValueError("k must be at least 2")
-    q = 1
-    while sum(q**i for i in range(k)) < r:
-        q += 1
+    if k >= r:
+        q = 1  # the sum is k
+    elif k > r.bit_length():
+        q = 2  # q = 1 sums to k < r, and 2^(k-1) > r
+    else:
+        # The sum lies between q^(k-1) and q^(k-1) * q/(q-1), so the answer
+        # is within a few steps of the integer (k-1)-th root of r.
+        q = _int_root(r, k - 1)
+        while q > 1 and _geometric_sum(q - 1, k) >= r:
+            q -= 1
+        while _geometric_sum(q, k) < r:
+            q += 1
     return q, n / q
+
+
+def _geometric_sum(q: int, k: int) -> int:
+    """q^(k-1) + ... + q + 1."""
+    return k if q == 1 else (q**k - 1) // (q - 1)
+
+
+def _int_root(r: int, j: int) -> int:
+    """The largest q with q^j <= r, for r, j >= 1: integer Newton steps
+    from a start above the root, which decrease until the root."""
+    q = 1 << -(-r.bit_length() // j)
+    while True:
+        step = ((j - 1) * q + r // q ** (j - 1)) // j
+        if step >= q:
+            return q
+        q = step
 
 
 def reference_bounds(n: int, r: int) -> dict[str, float]:

@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, compress, count
+from itertools import combinations, compress
 from typing import Iterable, Iterator, Sequence
+
+_ASCII_BIT = bytes.maketrans(b"01", b"\0\1")  # zero bytes stay zero
 
 
 def vertices_to_mask(vertices: Iterable[int]) -> int:
@@ -314,9 +316,26 @@ def shadow(edges: Iterable[int], s: int) -> ShadowSet:
     return ShadowSet(s, _shadow_members(edges, s, k))
 
 
-def _check_colors(colors: Sequence[int], r: int) -> None:
-    if colors and not (1 <= min(colors) and max(colors) <= r):
+def _color_bytes(colors: Sequence[int], r: int) -> bytes | None:
+    """The colors as bytes when r <= 255 and each one is an int in [1, r],
+    else None (a float equal to a valid color also gives None)."""
+    if r > 255:
+        return None
+    try:
+        out = bytes(colors)
+    except (TypeError, ValueError):
+        return None
+    return None if out.translate(None, bytes(range(1, r + 1))) else out
+
+
+def _check_colors(colors: Sequence[int], r: int) -> bytes | None:
+    """Raise ValueError unless every color lies in [1, r]; return
+    `_color_bytes(colors, r)`, so a caller needing the bytes converts once."""
+    # one pass in C for the common case; the min/max rule decides the rest
+    out = _color_bytes(colors, r)
+    if out is None and colors and not (1 <= min(colors) and max(colors) <= r):
         raise ValueError(f"colors must lie in [1, {r}]")
+    return out
 
 
 def color_buckets(
@@ -353,7 +372,7 @@ def color_runs(c: Coloring) -> tuple[list[list[tuple[int, int]]], list[list[int]
     and the last color is the rest of the block. Above 255, colors do not
     fit in a byte, and every edge is a run of its own.
     """
-    _check_colors(c.colors, c.r)
+    colors = _check_colors(c.colors, c.r)
     r = c.r
     if r > 255:
         masks, ranks = color_buckets(c.colors, r, colex_edges(c.n, c.k))
@@ -372,7 +391,8 @@ def color_runs(c: Coloring) -> tuple[list[list[tuple[int, int]]], list[list[int]
         base += size
     # int(..., 2) reads the last character as bit 0, so the colors are
     # reversed: the last character of a block's slice is the edge top | 1
-    reverse = bytes(c.colors)[::-1]
+    # (a float color, which passes the check, makes bytes() raise TypeError)
+    reverse = (colors or bytes(c.colors))[::-1]
     rest = [(1 << (hi - lo)) - 1 for _, _, lo, hi in blocks]
     runs: list[list[tuple[int, int]]] = [[] for _ in range(r + 1)]
     bases: list[list[int]] = [[] for _ in range(r + 1)]
@@ -444,8 +464,12 @@ def measure(c: Coloring, t: int, s: int) -> MeasureResult:
     if best is None:
         return MeasureResult(0, 0, frozenset())
     cnt, col, comp = best
-    ranks: list[int] = []
+    # bit j of a run's low mask is the edge of rank base + j; the runs of a
+    # component lie in disjoint rank blocks, so each writes its own slice of
+    # one flag map as ASCII "0"/"1", read back as bytes 0/1
+    flags = bytearray(len(c.colors))
     for i in comp:
-        # bit j of the run's low mask is the edge of rank base + j
-        ranks += compress(count(bases[col][i]), map("1".__eq__, bin(runs[col][i][1])[:1:-1]))
-    return MeasureResult(value=cnt, witness_color=col, witness_component=frozenset(ranks))
+        base, low = bases[col][i], runs[col][i][1]
+        flags[base : base + low.bit_length()] = bin(low)[:1:-1].encode()
+    witness = frozenset(compress(range(len(flags)), flags.translate(_ASCII_BIT)))
+    return MeasureResult(value=cnt, witness_color=col, witness_component=witness)

@@ -6,15 +6,29 @@ holding one color each in colex edge order (compact) or lines
 "v1 ... vk color" (explicit); the writer always emits compact. Design:
 first line "n h k", then one block per line. Lines starting with '#' are
 comments everywhere.
+
+The writer's compact form for r <= 9, one ASCII digit and "\n" per line
+with nothing else after the header, is read in bulk as bytes. Every other
+accepted coloring body (comments, blank lines, padding, other line ends,
+colors of two or more digits, explicit lines) is read line by line as
+before, with the same colors and the same errors.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from itertools import chain, islice
 from typing import Iterable, TextIO
 
-from .core import Coloring, Hypergraph, colex_rank, mask_to_vertices, vertices_to_mask
+from .core import (
+    Coloring,
+    Hypergraph,
+    _color_bytes,
+    colex_rank,
+    mask_to_vertices,
+    vertices_to_mask,
+)
 from .designs import SteinerSystem
 
 
@@ -23,6 +37,9 @@ class FormatError(ValueError):
 
 
 _CHUNK = 1 << 14  # lines per bulk conversion in read_coloring
+_DIGITS = b"0123456789"
+_DIGIT_VALUES = bytes.maketrans(_DIGITS, bytes(range(10)))
+_DIGIT_CHARS = bytes.maketrans(bytes(range(10)), _DIGITS)
 
 
 def _data_lines(raw_lines: Iterable[str], start: int = 1) -> Iterable[tuple[int, str]]:
@@ -71,10 +88,19 @@ def read_hypergraph(fh: TextIO) -> Hypergraph:
 
 
 def write_coloring(c: Coloring, fh: TextIO) -> None:
+    head = f"{c.n} {c.k} {c.r}\n"
+    colors = _color_bytes(c.colors, c.r) if c.r <= 9 else None
+    if colors is not None:
+        # every color is one digit: digits at even offsets, "\n" at odd ones
+        body = bytearray(2 * len(colors))
+        body[::2] = colors.translate(_DIGIT_CHARS)
+        body[1::2] = b"\n" * len(colors)
+        fh.write(head + body.decode("ascii"))
+        return
     # A lookup per color is ~10x faster than formatting each one; a color
     # outside [1, r] raises KeyError before anything is written.
     lines = {col: f"{col}\n" for col in range(1, c.r + 1)}
-    fh.write(f"{c.n} {c.k} {c.r}\n" + "".join(map(lines.__getitem__, c.colors)))
+    fh.write(head + "".join(map(lines.__getitem__, c.colors)))
 
 
 def read_coloring(fh: TextIO) -> Coloring:
@@ -88,19 +114,30 @@ def read_coloring(fh: TextIO) -> Coloring:
         raise FormatError(f"line {lineno}: header must be 'n k r'")
     n, k, r = vals
     m = math.comb(n, k)
-    # Fast path: int() parses a raw line exactly when the loop below would
-    # read it as one compact color, so runs of such lines convert in bulk.
-    # The first other line hands over to the loop, at its own line number.
+    body = fh.read()
+    # The writer's form: m lines, each one ASCII digit and "\n". Its colors
+    # are the even bytes; the length test comes first, as m may be huge.
+    if len(body) == 2 * m and body.isascii():
+        raw = body.encode("ascii")
+        digits = raw[::2]
+        if raw[1::2] == b"\n" * m and not digits.translate(None, _DIGITS):
+            return _coloring(n, k, r, list(digits.translate(_DIGIT_VALUES)))
+    # Otherwise the body's lines as the stream gave them: split at "\n",
+    # which a text file opened in Python's default mode also ends each line
+    # with. int() parses a raw line exactly when the loop below would read
+    # it as one compact color, so runs of such lines convert in bulk. The
+    # first other line hands over to the loop, at its own line number.
+    lines = io.StringIO(body)
     compact: list[int] = []
     rest: Iterable[str] = ()
-    while chunk := list(islice(fh, _CHUNK)):
+    while chunk := list(islice(lines, _CHUNK)):
         done = len(compact)
         try:
             compact.extend(map(int, chunk))
         except ValueError:
             # CPython's list.extend keeps the items appended before the
             # error, so the first line it could not parse is at this offset.
-            rest = chain(chunk[len(compact) - done :], fh)
+            rest = chain(chunk[len(compact) - done :], lines)
             break
     explicit: dict[int, int] = {}
     mode = "compact" if compact else None
@@ -135,8 +172,12 @@ def read_coloring(fh: TextIO) -> Coloring:
         compact = [explicit[rank] for rank in range(m)]
     if len(compact) != m:
         raise FormatError(f"compact coloring lists {len(compact)} of {m} colors")
+    return _coloring(n, k, r, compact)
+
+
+def _coloring(n: int, k: int, r: int, colors: list[int]) -> Coloring:
     try:
-        return Coloring(n, k, r, compact)
+        return Coloring(n, k, r, colors)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

@@ -88,6 +88,24 @@ def test_fg_vertex_bound():
     assert bounds.fg_vertex_bound(16, 5, 3) == (2, 8.0)
 
 
+def _fg_sum(q, k):
+    return sum(q**i for i in range(k))
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_fg_vertex_bound_q_is_minimal(k):
+    for r in [*range(1, 2001), 10**9, 10**18]:
+        q, _ = bounds.fg_vertex_bound(9, r, k)
+        assert _fg_sum(q, k) >= r and (q == 1 or _fg_sum(q - 1, k) < r), (r, k, q)
+
+
+def test_fg_vertex_bound_extremes():
+    assert bounds.fg_vertex_bound(9, 10**9, 2)[0] == 10**9 - 1
+    assert bounds.fg_vertex_bound(9, 10**18, 3)[0] == 10**9
+    assert bounds.fg_vertex_bound(9, 5, 10**18)[0] == 1  # k >= r
+    assert bounds.fg_vertex_bound(9, 10**18, 10**17)[0] == 2  # 2^(k-1) > r
+
+
 def test_asymptotic_upper_scales_lower():
     for n, r, k, t, s in [(9, 4, 2, 1, 1), (12, 3, 4, 2, 3), (20, 5, 3, 1, 2)]:
         for eps in (0.1, 0.5, 1.0):

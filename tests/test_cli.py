@@ -246,6 +246,14 @@ def test_kk_shadow_bound_with_large_m_returns(capsys, m, k):
     assert math.isfinite(rep["value"])
 
 
+def test_fg_vertex_bound_with_large_r_returns(capsys):
+    start = time.perf_counter()
+    code, rep = run(capsys, "bound", "--kind", "fg_vertex", "--n", "9", "--r", "1000000000", "--k", "2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert rep["params"]["q"] == 999999999
+
+
 BOUND_ARGS = {
     "eps-nan": ["asymptotic_upper", "--n", "9", "--r", "2", "--k", "3", "--t", "1", "--s", "2", "--eps", "nan"],
     "eps-inf": ["asymptotic_upper", "--n", "9", "--r", "2", "--k", "3", "--t", "1", "--s", "2", "--eps", "inf"],

@@ -21,6 +21,7 @@ from monotight.core import (
     shadow,
     t_tight_components,
     vertices_to_mask,
+    _check_colors,
     _component_indices,
     _shadow_members,
     _sub_masks,
@@ -254,6 +255,58 @@ class TestColorBuckets:
         # k > n would be an edgeless K^k_n whose every measure reads 0
         with pytest.raises(ValueError, match=f"need 2 <= k <= n, got k={k}, n={n}"):
             Coloring(n, k, 2, [1] * math.comb(n, k))
+
+
+def min_max_rule(colors, r):
+    """The color check as one min and one max over the whole list."""
+    return not colors or (1 <= min(colors) and max(colors) <= r)
+
+
+def check_colors_passes(colors, r):
+    try:
+        _check_colors(colors, r)
+    except ValueError:
+        return False
+    return True
+
+
+CHECK_COLORS_CASES = [
+    ([True, True], 1),
+    ([True, False], 2),
+    ([1.0, 2.0], 2),
+    ([1.5, 2], 2),
+    ([0.5, 1], 2),
+    ([1, 2.5], 2),
+    ([-1, 1], 2),
+    ([-300, 1], 2),
+    ([0, 1], 1),
+    ([1, 256], 255),
+    ([1, 255], 255),
+    ([255, 256], 300),
+    ([1, 300], 300),
+    ([301], 300),
+    ([], 1),
+    ([], 300),
+    ([2, 3], 1),
+    ([1, 3, 2], 3),
+]
+
+
+class TestCheckColors:
+    @pytest.mark.parametrize("colors, r", CHECK_COLORS_CASES)
+    def test_matches_min_max_rule(self, colors, r):
+        if min_max_rule(colors, r):
+            _check_colors(colors, r)
+        else:
+            with pytest.raises(ValueError, match=f"colors must lie in \\[1, {r}\\]"):
+                _check_colors(colors, r)
+
+    def test_random_lists_match_min_max_rule(self):
+        rng = random.Random(37)
+        for _ in range(2000):
+            r = rng.choice([1, 2, 3, 9, 254, 255, 256, 300])
+            colors = [rng.randint(-1, r + 1) for _ in range(rng.randint(0, 6))]
+            assert min_max_rule(colors, r) == check_colors_passes(colors, r), (colors, r)
 
 
 class TestShadow:

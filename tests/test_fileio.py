@@ -1,12 +1,19 @@
 import io
 import math
+import random
 
 import pytest
 
 from monotight import fileio
-from monotight.constructions import majority_coloring
+from monotight.constructions import (
+    all_red,
+    majority_coloring,
+    parity_coloring,
+    steiner_coloring,
+    two_clique_coloring,
+)
 from monotight.core import Coloring, Hypergraph
-from monotight.designs import builtin_design
+from monotight.designs import affine_plane, builtin_design
 from monotight.fileio import (
     FormatError,
     read_coloring,
@@ -121,3 +128,134 @@ def test_coloring_rejects_explicit_then_compact():
     with pytest.raises(FormatError) as exc:
         read_coloring(io.StringIO("4 3 2\n1 2 3 1\n2\n1\n1\n"))
     assert "line 3" in str(exc.value) and "mix" in str(exc.value)
+
+
+def reference_read_coloring(fh):
+    """The coloring reader's rules for compact bodies, applied one line at a
+    time with no bulk path. No input below has a line of k + 1 integers,
+    which would start the explicit form."""
+    rows = [(no, raw.strip()) for no, raw in enumerate(fh, start=1)]
+    rows = [(no, line) for no, line in rows if line and not line.startswith("#")]
+    if not rows:
+        raise FormatError("empty coloring file")
+
+    def ints(no, line):
+        try:
+            return [int(tok) for tok in line.split()]
+        except ValueError:
+            raise FormatError(f"line {no}: expected integers, got {line!r}") from None
+
+    (no, header), *body = rows
+    vals = ints(no, header)
+    if len(vals) != 3:
+        raise FormatError(f"line {no}: header must be 'n k r'")
+    n, k, r = vals
+    m = math.comb(n, k)
+    compact = []
+    for no, line in body:
+        vs = ints(no, line)
+        if len(vs) != 1:
+            raise FormatError(f"line {no}: expected 1 (compact) or {k + 1} (explicit) integers")
+        compact.append(vs[0])
+    if len(compact) != m:
+        raise FormatError(f"compact coloring lists {len(compact)} of {m} colors")
+    try:
+        return Coloring(n, k, r, compact)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def outcome(read, fh):
+    """What a reader makes of a stream: the coloring's fields, or the error text."""
+    try:
+        c = read(fh)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+    return c.n, c.k, c.r, c.colors
+
+
+def small_colorings(seed, count=25):
+    """Seeded colorings with n <= 7; with r >= 10, color r is used, so some
+    lines have two digits."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 7)
+        k = rng.randint(2, min(n, 4))
+        r = rng.choice([1, 2, 3, 9, 10, 12])
+        colors = [rng.randint(1, r) for _ in range(math.comb(n, k))]
+        colors[rng.randrange(len(colors))] = r
+        yield rng, Coloring(n, k, r, colors)
+
+
+def _put(lines, i, line):
+    return lines[:i] + [line] + lines[i + 1 :]
+
+
+BODY_MUTATIONS = {
+    "as written": lambda lines, i: lines,
+    "padded line": lambda lines, i: _put(lines, i, f"  {lines[i]}  "),
+    "plus sign": lambda lines, i: _put(lines, i, "+1"),
+    "leading zero": lambda lines, i: _put(lines, i, "01"),
+    "underscore": lambda lines, i: _put(lines, i, "1_0"),
+    "non-ascii digit": lambda lines, i: _put(lines, i, "١"),
+    "color 0": lambda lines, i: _put(lines, i, "0"),
+    "letter": lambda lines, i: _put(lines, i, "x"),
+    "two colors on one line": lambda lines, i: lines[:i] + [" ".join(lines[i : i + 2])] + lines[i + 2 :],
+    "lone carriage return": lambda lines, i: lines[:i] + ["\r".join(lines[i : i + 2])] + lines[i + 2 :],
+    "comment and blank line": lambda lines, i: lines[:i] + ["# c", ""] + lines[i:],
+    "too few lines": lambda lines, i: lines[:i] + lines[i + 1 :],
+    "too many lines": lambda lines, i: lines[:i] + ["1"] + lines[i:],
+}
+
+
+@pytest.mark.parametrize("final_newline", [True, False])
+@pytest.mark.parametrize("mutation", sorted(BODY_MUTATIONS))
+def test_reader_matches_line_by_line_reference(mutation, final_newline):
+    for rng, c in small_colorings(seed=41):
+        buf = io.StringIO()
+        write_coloring(c, buf)
+        head, *lines = buf.getvalue().splitlines()
+        lines = BODY_MUTATIONS[mutation](lines, rng.randrange(len(lines)))
+        text = "\n".join([head, *lines]) + ("\n" if final_newline else "")
+        got = outcome(read_coloring, io.StringIO(text))
+        assert got == outcome(reference_read_coloring, io.StringIO(text)), text
+        if mutation == "as written":
+            assert got == (c.n, c.k, c.r, c.colors)
+
+
+def test_reader_matches_reference_on_crlf_files(tmp_path):
+    path = tmp_path / "crlf.col"
+    for rng, c in small_colorings(seed=43, count=10):
+        buf = io.StringIO()
+        write_coloring(c, buf)
+        text = buf.getvalue().replace("\n", "\r\n")
+        path.write_bytes(text.encode())
+        with open(path) as fh:
+            got = outcome(read_coloring, fh)
+        assert got == (c.n, c.k, c.r, c.colors)
+        assert outcome(read_coloring, io.StringIO(text)) == got
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 17, 60, 120])
+def test_writer_matches_one_line_per_color(n):
+    builders = [majority_coloring, parity_coloring, two_clique_coloring]
+    colorings = [build(n) for build in builders] + [all_red(n, 3, 2)]
+    if n == 120:
+        ap11 = affine_plane(11)
+        colorings.append(steiner_coloring(ap11, ap11.parallel_classes()))
+    for c in colorings:
+        buf = io.StringIO()
+        write_coloring(c, buf)
+        # a bool, not the strings: a diff of two long texts takes minutes
+        same = buf.getvalue() == f"{c.n} {c.k} {c.r}\n" + "".join(f"{x}\n" for x in c.colors)
+        assert same, (n, c.k, c.r)
+
+
+@pytest.mark.parametrize("r", [2, 12])
+def test_writer_raises_on_mutated_color_before_writing(r):
+    c = Coloring(5, 3, r, [1] * math.comb(5, 3))
+    c.colors[4] = r + 1
+    buf = io.StringIO()
+    with pytest.raises(KeyError):
+        write_coloring(c, buf)
+    assert buf.getvalue() == ""
