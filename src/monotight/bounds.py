@@ -89,30 +89,21 @@ def fg_vertex_bound(n: int, r: int, k: int) -> tuple[int, float]:
     elif k > r.bit_length():
         q = 2  # q = 1 sums to k < r, and 2^(k-1) > r
     else:
-        # The sum lies between q^(k-1) and q^(k-1) * q/(q-1), so the answer
-        # is within a few steps of the integer (k-1)-th root of r.
-        q = _int_root(r, k - 1)
-        while q > 1 and _geometric_sum(q - 1, k) >= r:
-            q -= 1
-        while _geometric_sum(q, k) < r:
-            q += 1
+        # the sum grows with q and reaches r by q = r
+        lo, hi = 1, r
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _geometric_sum(mid, k) >= r:
+                hi = mid
+            else:
+                lo = mid + 1
+        q = lo
     return q, n / q
 
 
 def _geometric_sum(q: int, k: int) -> int:
     """q^(k-1) + ... + q + 1."""
     return k if q == 1 else (q**k - 1) // (q - 1)
-
-
-def _int_root(r: int, j: int) -> int:
-    """The largest q with q^j <= r, for r, j >= 1: integer Newton steps
-    from a start above the root, which decrease until the root."""
-    q = 1 << -(-r.bit_length() // j)
-    while True:
-        step = ((j - 1) * q + r // q ** (j - 1)) // j
-        if step >= q:
-            return q
-        q = step
 
 
 def reference_bounds(n: int, r: int) -> dict[str, float]:

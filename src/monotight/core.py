@@ -464,12 +464,15 @@ def measure(c: Coloring, t: int, s: int) -> MeasureResult:
     if best is None:
         return MeasureResult(0, 0, frozenset())
     cnt, col, comp = best
-    # bit j of a run's low mask is the edge of rank base + j; the runs of a
-    # component lie in disjoint rank blocks, so each writes its own slice of
-    # one flag map as ASCII "0"/"1", read back as bytes 0/1
+    # bit j of a run's low mask is the edge of rank base + j. Each run writes
+    # its bits from lowest to highest set bit into one flag map as ASCII
+    # "0"/"1", read back as bytes 0/1. These spans never overlap: up to 255
+    # colors one color's runs have distinct tops, so disjoint rank blocks;
+    # above that every run is one edge, a span of one rank.
     flags = bytearray(len(c.colors))
     for i in comp:
         base, low = bases[col][i], runs[col][i][1]
-        flags[base : base + low.bit_length()] = bin(low)[:1:-1].encode()
+        lo = (low & -low).bit_length() - 1
+        flags[base + lo : base + low.bit_length()] = bin(low >> lo)[:1:-1].encode()
     witness = frozenset(compress(range(len(flags)), flags.translate(_ASCII_BIT)))
     return MeasureResult(value=cnt, witness_color=col, witness_component=witness)

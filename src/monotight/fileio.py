@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from itertools import chain, islice
 from typing import Iterable, TextIO
 
@@ -114,20 +115,25 @@ def read_coloring(fh: TextIO) -> Coloring:
         raise FormatError(f"line {lineno}: header must be 'n k r'")
     n, k, r = vals
     m = math.comb(n, k)
-    body = fh.read()
-    # The writer's form: m lines, each one ASCII digit and "\n". Its colors
-    # are the even bytes; the length test comes first, as m may be huge.
-    if len(body) == 2 * m and body.isascii():
-        raw = body.encode("ascii")
+    # The writer's form: m lines, each one ASCII digit and "\n", so exactly
+    # 2m characters. Reading one more tells a longer body apart; its colors
+    # are the even bytes.
+    prefix = fh.read(min(2 * m + 1, sys.maxsize))
+    if len(prefix) == 2 * m and prefix.isascii():
+        raw = prefix.encode("ascii")
         digits = raw[::2]
         if raw[1::2] == b"\n" * m and not digits.translate(None, _DIGITS):
             return _coloring(n, k, r, list(digits.translate(_DIGIT_VALUES)))
-    # Otherwise the body's lines as the stream gave them: split at "\n",
-    # which a text file opened in Python's default mode also ends each line
-    # with. int() parses a raw line exactly when the loop below would read
-    # it as one compact color, so runs of such lines convert in bulk. The
-    # first other line hands over to the loop, at its own line number.
-    lines = io.StringIO(body)
+    # Otherwise the lines as the stream gives them: the prefix completed to
+    # a line end, split at "\n" (which a text file opened in Python's default
+    # mode ends each line with), then the rest of the stream. int() parses a
+    # raw line exactly when the loop below would read it as one compact
+    # color, so runs of such lines convert in bulk. The first other line
+    # hands over to the loop, at its own line number.
+    if prefix and not prefix.endswith("\n"):
+        prefix += fh.readline()
+    lines = chain(io.StringIO(prefix), fh)
+    del prefix  # the StringIO keeps its own copy
     compact: list[int] = []
     rest: Iterable[str] = ()
     while chunk := list(islice(lines, _CHUNK)):

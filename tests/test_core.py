@@ -367,6 +367,23 @@ class TestMeasure:
                 res = measure(c, t, s)
                 assert (res.value, res.witness_color, res.witness_component) == naive_measure(c, t, s)
 
+    def test_one_edge_runs_keep_every_witness_edge(self):
+        # above 255 colors each edge is a run of its own, and two edges of
+        # one colex block can lie in one component
+        c = Coloring(4, 3, 300, [1] * 4)
+        assert measure(c, 1, 1).witness_component == frozenset(range(4))
+
+    def test_few_colors_above_one_byte_match_naive_oracle(self):
+        # the oracle colorings again with r = 300: few colors in use, so many
+        # same-block edges share a component on the one-edge-run path
+        for c in oracle_colorings():
+            wide = Coloring(c.n, c.k, 300, c.colors)
+            for t in range(1, c.k):
+                for s in range(1, c.k + 1):
+                    res = measure(wide, t, s)
+                    got = (res.value, res.witness_color, res.witness_component)
+                    assert got == naive_measure(c, t, s), (c.n, c.k, c.r, t, s)
+
     def test_all_red_spans(self):
         assert measure(all_red(5, 3, 2), 1, 1).value == 5
 

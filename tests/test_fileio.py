@@ -208,17 +208,31 @@ BODY_MUTATIONS = {
 }
 
 
+@pytest.mark.parametrize("source", ["buffer", "file"])
 @pytest.mark.parametrize("final_newline", [True, False])
 @pytest.mark.parametrize("mutation", sorted(BODY_MUTATIONS))
-def test_reader_matches_line_by_line_reference(mutation, final_newline):
+def test_reader_matches_line_by_line_reference(mutation, final_newline, source, tmp_path):
+    # A file is opened in Python's default text mode, as the CLI opens it;
+    # a two-digit line or a mutation can straddle the 2m + 1 characters the
+    # reader reads first.
+    path = tmp_path / "mutated.col"
+
+    def stream(text):
+        if source == "buffer":
+            return io.StringIO(text)
+        path.write_bytes(text.encode())
+        return open(path)
+
     for rng, c in small_colorings(seed=41):
         buf = io.StringIO()
         write_coloring(c, buf)
         head, *lines = buf.getvalue().splitlines()
         lines = BODY_MUTATIONS[mutation](lines, rng.randrange(len(lines)))
         text = "\n".join([head, *lines]) + ("\n" if final_newline else "")
-        got = outcome(read_coloring, io.StringIO(text))
-        assert got == outcome(reference_read_coloring, io.StringIO(text)), text
+        with stream(text) as fh:
+            got = outcome(read_coloring, fh)
+        with stream(text) as fh:
+            assert got == outcome(reference_read_coloring, fh), text
         if mutation == "as written":
             assert got == (c.n, c.k, c.r, c.colors)
 
