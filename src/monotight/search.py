@@ -84,6 +84,13 @@ def _edge_tables(n: int, k: int, t: int, s: int) -> tuple[list[int], list[int]]:
     return adj, shade
 
 
+def _check_args(n: int, r: int, k: int, t: int, s: int) -> None:
+    _check_nk(n, k)
+    _check_tsk(k, t, s)
+    if r < 1:
+        raise ValueError("r must be positive")
+
+
 def exact_M(
     n: int, r: int, k: int, t: int, s: int, budget: int | None = None
 ) -> SearchResult:
@@ -91,20 +98,23 @@ def exact_M(
     t-tight component s-shadow.
 
     Depth-first over edges in colex order; colors must first appear in
-    increasing index order (cuts the r! color symmetry). Each color keeps a
-    list of its components as (edge mask, shadow mask) pairs over the tables
-    of `_edge_tables`. Coloring edge i with c merges edge i with every
-    component of c whose edge mask meets adj[i] into one new pair; the old
-    list is kept, so undo puts it back. A branch is pruned as soon as the
-    running maximum shadow reaches the incumbent, which is sound because
-    adding edges never shrinks components or shadows. The search is one loop
-    over the edge depth with per-depth state, so its depth C(n, k) is not
-    bounded by Python's recursion limit. The budget caps the nodes explored.
+    increasing index order (cuts the r! color symmetry), so edge i tries
+    colors 1..last[i], where last[i] is one above the largest color before
+    it, capped at r. Each color keeps a list of its components as (edge
+    mask, shadow mask) pairs over the tables of `_edge_tables`. Coloring
+    edge i with c merges edge i with every component of c whose edge mask
+    meets adj[i] into one new pair; the old list is kept, so undo puts it
+    back. A branch is pruned as soon as the running maximum shadow reaches
+    the incumbent, which is sound because adding edges never shrinks
+    components or shadows. A coloring of the last edge that passes that test
+    is a complete coloring below the incumbent, so it becomes the incumbent
+    at once, without a step to depth C(n, k). The search is one loop over
+    the edge depth with per-depth state, so its depth C(n, k) is not bounded
+    by Python's recursion limit. The budget caps the nodes explored; for
+    r >= 2 a budget <= 0 explores none and returns the starting construction
+    as a "budget-exhausted" result.
     """
-    _check_nk(n, k)
-    _check_tsk(k, t, s)
-    if r < 1:
-        raise ValueError("r must be positive")
+    _check_args(n, r, k, t, s)
     start = time.perf_counter()
     m = math.comb(n, k)
 
@@ -125,25 +135,22 @@ def exact_M(
     comps: list[list[tuple[int, int]]] = [[] for _ in range(r + 1)]
     saved: list[list[tuple[int, int]] | None] = [None] * m  # comps[color[i]] before edge i
     color = [0] * m  # color of edge i; 0 on first arrival at depth i
-    used = [0] * (m + 1)  # largest color among edges before i
-    run_max = [0] * (m + 1)  # largest component shadow among edges before i
+    last = [1] * m  # largest color edge i may take: one above the largest before it, at most r
+    run_max = [0] * m  # largest component shadow among edges before i
+    limit = -1 if budget is None else max(budget, 0)  # `nodes` counts up from 0 and never meets -1
+    leaf = m - 1
     nodes = 0
     exhausted = False
     i = 0
     while i >= 0:
-        if i == m:
-            if run_max[m] < best:
-                best, witness = run_max[m], color.copy()
-            i -= 1
-            continue
         c = color[i]
         if c:
             comps[c] = saved[i]
-        if c == min(r, used[i] + 1):
-            color[i] = 0
-            i -= 1
-            continue
-        if budget is not None and nodes >= budget:
+            if c == last[i]:
+                color[i] = 0
+                i -= 1
+                continue
+        if nodes == limit:
             exhausted = True
             break
         c += 1
@@ -152,20 +159,27 @@ def exact_M(
         near = adj[i]
         edges, covered = 1 << i, shade[i]
         kept = []
-        saved[i] = comps[c]
-        for comp in saved[i]:
+        saved[i] = old = comps[c]
+        for comp in old:
             if comp[0] & near:
                 edges |= comp[0]
                 covered |= comp[1]
             else:
                 kept.append(comp)
-        kept.append((edges, covered))
-        comps[c] = kept
-        new_max = max(covered.bit_count(), run_max[i])
-        if new_max < best:
-            used[i + 1] = max(used[i], c)
-            run_max[i + 1] = new_max
-            i += 1
+        size = covered.bit_count()
+        below = run_max[i]
+        if size < below:
+            size = below
+        if size < best:
+            if i == leaf:
+                best, witness = size, color.copy()
+            else:
+                kept.append((edges, covered))
+                comps[c] = kept
+                cap = last[i]
+                i += 1
+                last[i] = cap + 1 if c == cap < r else cap
+                run_max[i] = size
 
     return SearchResult(
         value=best,
@@ -178,6 +192,7 @@ def exact_M(
 
 def brute_force_M(n: int, r: int, k: int, t: int, s: int) -> int:
     """Raw enumeration over all r^m colorings; oracle for small instances."""
+    _check_args(n, r, k, t, s)
     m = math.comb(n, k)
     best = None
     for assignment in product(range(1, r + 1), repeat=m):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -97,12 +98,60 @@ def test_budget_is_never_overshot(inst):
         ((6, 2, 4, 2, 2), None, (15, "exact", 2423)),
         ((5, 2, 2, 1, 1), None, (5, "exact", 227)),
         ((6, 2, 2, 1, 1), None, (6, "exact", 3415)),
+        # a budget equal to the proof's node count still proves
+        ((5, 2, 3, 1, 2), 265, (9, "exact", 265)),
     ],
 )
 def test_search_tree_node_counts(inst, budget, expected):
     # the node count pins the search tree: color order, pruning and budget
     res = exact_M(*inst, budget=budget)
     assert (res.value, res.status, res.nodes_explored) == expected
+
+
+@pytest.mark.parametrize(
+    "inst, budget, sha256",
+    [
+        ((6, 2, 3, 2, 3), None, "bb4351a62069a98cc02f4596af7c4ab97357d86cf6c2b52c05c2f3ce981ee61c"),
+        ((6, 2, 3, 1, 3), None, "c3bc5251ba7fe659d6acd226e7c409f692d1b443f9da0c64c080b134ea92ea9f"),
+        ((6, 3, 3, 2, 2), None, "49d16c63ad705e61400cb80bc02e4a0c6147d711ff7678dc2174f9e53523e61a"),
+        ((7, 2, 3, 2, 3), 20000, "7f026fad2f9285001867aaa1d1561d1b38ca18c56db4350d8614e6f2571d15d1"),
+    ],
+)
+def test_search_witness_colorings(inst, budget, sha256):
+    # the witness pins the order of leaves and incumbent updates, which the
+    # node count alone does not
+    res = exact_M(*inst, budget=budget)
+    assert hashlib.sha256(bytes(res.witness.colors)).hexdigest() == sha256
+    assert measure(res.witness, *inst[3:]).value == res.value
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+@pytest.mark.parametrize("inst", [(6, 3, 3, 2, 2), (5, 2, 3, 1, 2)])
+def test_budget_at_most_zero_explores_no_node(inst, budget):
+    res = exact_M(*inst, budget=budget)
+    assert (res.nodes_explored, res.status) == (0, "budget-exhausted")
+    assert measure(res.witness, *inst[3:]).value == res.value
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        (4, 0, 3, 1, 1),
+        (4, -1, 3, 1, 1),
+        (2, 2, 3, 1, 1),
+        (4, 2, 1, 1, 1),
+        (4, 2, 3, 0, 1),
+        (4, 2, 3, 3, 1),
+        (4, 2, 3, 1, 0),
+        (4, 2, 3, 1, 4),
+    ],
+)
+def test_oracle_and_search_refuse_the_same_inputs(inst):
+    with pytest.raises(ValueError) as oracle:
+        brute_force_M(*inst)
+    with pytest.raises(ValueError) as searched:
+        exact_M(*inst)
+    assert str(oracle.value) == str(searched.value)
 
 
 def test_parameter_errors():
