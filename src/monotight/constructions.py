@@ -34,7 +34,7 @@ def _two_part_coloring(n: int, a: int, by_count: tuple[int, ...]) -> Coloring:
         inside = min(size, a)
         c = (top & part).bit_count()
         colors += table[c + 1 : c + 2] * inside + table[c : c + 1] * (size - inside)
-    return Coloring(n, 3, 2, list(colors))
+    return Coloring(n, 3, 2, colors)
 
 
 def majority_coloring(n: int) -> Coloring:
@@ -59,13 +59,14 @@ def blow_up(c0: Coloring, n: int) -> Coloring:
     {1..n} is split round-robin into N = n0-k+1 parts; an edge is colored by
     the base color of its touched part index set, padded up to size k with
     the reserved base vertices N+1..n0 (`padded_index_set`). At n = n0 the
-    base coloring is copied, since the padded map is not the identity there.
+    base coloring itself is returned, since the padded map is not the
+    identity there.
     """
     n0, k = c0.n, c0.k
     if n < n0:
         raise ValueError(f"need n >= n0 = {n0}")
     if n == n0:
-        return Coloring(n0, k, c0.r, list(c0.colors))
+        return c0
     base = dict(zip(colex_edges(n0, k), c0.colors))
     colors = [base[padded_index_set(e, n0, k)] for e in colex_edges(n, k)]
     return Coloring(n, k, c0.r, colors)

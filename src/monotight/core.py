@@ -24,6 +24,7 @@ lies in top. So the j-subsets of a run's edges are Q | y for each
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations, compress
 from typing import Iterable, Iterator, Sequence
@@ -138,8 +139,6 @@ class Hypergraph:
     edges: list[int]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
         _check_nk(self.n, self.k)
         full = (1 << self.n) - 1
         seen = set()
@@ -164,14 +163,19 @@ class Hypergraph:
         return len(self.edges)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Coloring:
-    """An r-coloring of the complete k-graph, indexed by colex edge rank."""
+    """An r-coloring of the complete k-graph, indexed by colex edge rank.
+
+    The colors are checked once, here, and stored immutable: as bytes when
+    r <= 255, else as a tuple of ints. Colorings built from equal colors
+    compare equal, whatever sequence type the colors came in.
+    """
 
     n: int
     k: int
     r: int
-    colors: list[int]
+    colors: Sequence[int]
 
     def __post_init__(self):
         _check_nk(self.n, self.k)
@@ -180,7 +184,7 @@ class Coloring:
             raise ValueError(f"expected C({self.n},{self.k})={m} colors, got {len(self.colors)}")
         if self.r < 1:
             raise ValueError("r must be positive")
-        _check_colors(self.colors, self.r)
+        object.__setattr__(self, "colors", _stored_colors(self.colors, self.r))
 
     def color_class(self, i: int) -> Hypergraph:
         """The hypergraph of edges with color i."""
@@ -316,24 +320,19 @@ def shadow(edges: Iterable[int], s: int) -> ShadowSet:
     return ShadowSet(s, _shadow_members(edges, s, k))
 
 
-def _color_bytes(colors: Sequence[int], r: int) -> bytes | None:
-    """The colors as bytes when r <= 255 and each one is an int in [1, r],
-    else None (a float equal to a valid color also gives None)."""
-    if r > 255:
-        return None
+def _stored_colors(colors: Sequence[int], r: int) -> bytes | tuple[int, ...]:
+    """The colors as bytes when r <= 255, else as a tuple of ints; raise
+    ValueError unless each one is an int in [1, r]."""
     try:
-        out = bytes(colors)
-    except (TypeError, ValueError):
-        return None
-    return None if out.translate(None, bytes(range(1, r + 1))) else out
-
-
-def _check_colors(colors: Sequence[int], r: int) -> bytes | None:
-    """Raise ValueError unless every color lies in [1, r]; return
-    `_color_bytes(colors, r)`, so a caller needing the bytes converts once."""
-    # one pass in C for the common case; the min/max rule decides the rest
-    out = _color_bytes(colors, r)
-    if out is None and colors and not (1 <= min(colors) and max(colors) <= r):
+        if r <= 255:
+            out = bytes(colors)
+            ok = not out.translate(None, bytes(range(1, r + 1)))
+        else:
+            out = tuple(map(operator.index, colors))
+            ok = not out or (1 <= min(out) and max(out) <= r)
+    except (TypeError, ValueError):  # a non-int color, or one outside [0, 255]
+        ok = False
+    if not ok:
         raise ValueError(f"colors must lie in [1, {r}]")
     return out
 
@@ -344,12 +343,9 @@ def color_buckets(
     """Edge masks and their colex ranks, bucketed by color.
 
     `edges` lists every edge in colex order and `colors[rank]` is the color
-    of the edge of that rank. Bucket i holds color i; bucket 0 stays empty.
-    Colors are checked again here, since `Coloring.colors` is a mutable list
-    that may have changed after construction; one outside [1, r] raises
-    ValueError.
+    of the edge of that rank, a color in [1, r] as `Coloring` stores it.
+    Bucket i holds color i; bucket 0 stays empty.
     """
-    _check_colors(colors, r)
     masks: list[list[int]] = [[] for _ in range(r + 1)]
     ranks: list[list[int]] = [[] for _ in range(r + 1)]
     for rank, (mask, col) in enumerate(zip(edges, colors)):
@@ -367,12 +363,11 @@ def color_runs(c: Coloring) -> tuple[list[list[tuple[int, int]]], list[list[int]
     holds the x whose edges have color i; a top whose block holds no edge of
     color i gives no run. Bucket 0 stays empty.
 
-    The colors are checked first, as in `color_buckets`. Up to 255 colors,
-    each color's block is one `int(..., 2)` of a byte slice of the coloring,
-    and the last color is the rest of the block. Above 255, colors do not
-    fit in a byte, and every edge is a run of its own.
+    Up to 255 colors, the coloring stores its colors as bytes: each color's
+    block is one `int(..., 2)` of a byte slice of them, and the last color
+    is the rest of the block. Above 255, the colors are a tuple, and every
+    edge is a run of its own.
     """
-    colors = _check_colors(c.colors, c.r)
     r = c.r
     if r > 255:
         masks, ranks = color_buckets(c.colors, r, colex_edges(c.n, c.k))
@@ -391,8 +386,7 @@ def color_runs(c: Coloring) -> tuple[list[list[tuple[int, int]]], list[list[int]
         base += size
     # int(..., 2) reads the last character as bit 0, so the colors are
     # reversed: the last character of a block's slice is the edge top | 1
-    # (a float color, which passes the check, makes bytes() raise TypeError)
-    reverse = (colors or bytes(c.colors))[::-1]
+    reverse = c.colors[::-1]
     rest = [(1 << (hi - lo)) - 1 for _, _, lo, hi in blocks]
     runs: list[list[tuple[int, int]]] = [[] for _ in range(r + 1)]
     bases: list[list[int]] = [[] for _ in range(r + 1)]

@@ -12,6 +12,10 @@ with nothing else after the header, is read in bulk as bytes. Every other
 accepted coloring body (comments, blank lines, padding, other line ends,
 colors of two or more digits, explicit lines) is read line by line as
 before, with the same colors and the same errors.
+
+Colors are checked once, when `Coloring` is built, and stored as bytes
+(r <= 255) or a tuple. The writer takes them as stored, and the reader
+hands what it read to `Coloring` as is: neither checks nor converts them.
 """
 
 from __future__ import annotations
@@ -20,12 +24,11 @@ import io
 import math
 import sys
 from itertools import chain, islice
-from typing import Iterable, TextIO
+from typing import Iterable, Sequence, TextIO
 
 from .core import (
     Coloring,
     Hypergraph,
-    _color_bytes,
     colex_rank,
     mask_to_vertices,
     vertices_to_mask,
@@ -90,16 +93,15 @@ def read_hypergraph(fh: TextIO) -> Hypergraph:
 
 def write_coloring(c: Coloring, fh: TextIO) -> None:
     head = f"{c.n} {c.k} {c.r}\n"
-    colors = _color_bytes(c.colors, c.r) if c.r <= 9 else None
-    if colors is not None:
+    if c.r <= 9:
         # every color is one digit: digits at even offsets, "\n" at odd ones
-        body = bytearray(2 * len(colors))
-        body[::2] = colors.translate(_DIGIT_CHARS)
-        body[1::2] = b"\n" * len(colors)
+        m = len(c.colors)
+        body = bytearray(2 * m)
+        body[::2] = c.colors.translate(_DIGIT_CHARS)
+        body[1::2] = b"\n" * m
         fh.write(head + body.decode("ascii"))
         return
-    # A lookup per color is ~10x faster than formatting each one; a color
-    # outside [1, r] raises KeyError before anything is written.
+    # a lookup per color is ~10x faster than formatting each one
     lines = {col: f"{col}\n" for col in range(1, c.r + 1)}
     fh.write(head + "".join(map(lines.__getitem__, c.colors)))
 
@@ -123,7 +125,7 @@ def read_coloring(fh: TextIO) -> Coloring:
         raw = prefix.encode("ascii")
         digits = raw[::2]
         if raw[1::2] == b"\n" * m and not digits.translate(None, _DIGITS):
-            return _coloring(n, k, r, list(digits.translate(_DIGIT_VALUES)))
+            return _coloring(n, k, r, digits.translate(_DIGIT_VALUES))
     # Otherwise the lines as the stream gives them: the prefix completed to
     # a line end, split at "\n" (which a text file opened in Python's default
     # mode ends each line with), then the rest of the stream. int() parses a
@@ -181,7 +183,7 @@ def read_coloring(fh: TextIO) -> Coloring:
     return _coloring(n, k, r, compact)
 
 
-def _coloring(n: int, k: int, r: int, colors: list[int]) -> Coloring:
+def _coloring(n: int, k: int, r: int, colors: Sequence[int]) -> Coloring:
     try:
         return Coloring(n, k, r, colors)
     except ValueError as exc:

@@ -110,22 +110,24 @@ def exact_M(
     is a complete coloring below the incumbent, so it becomes the incumbent
     at once, without a step to depth C(n, k). The search is one loop over
     the edge depth with per-depth state, so its depth C(n, k) is not bounded
-    by Python's recursion limit. The budget caps the nodes explored; for
-    r >= 2 a budget <= 0 explores none and returns the starting construction
-    as a "budget-exhausted" result.
+    by Python's recursion limit. The budget caps the nodes explored; a
+    budget <= 0 explores none and returns the starting construction as a
+    "budget-exhausted" result. With r = 1 the single coloring is one node.
     """
     _check_args(n, r, k, t, s)
     start = time.perf_counter()
     m = math.comb(n, k)
 
     best, best_col = _initial_incumbent(n, r, k, t, s)
+    limit = -1 if budget is None else max(budget, 0)  # `nodes` counts up from 0 and never meets -1
     if r == 1:
-        # the single coloring is the constant one
+        # one node: the single coloring is the constant one, the incumbent
+        exhausted = limit == 0
         return SearchResult(
             value=best,
-            witness=Coloring(n, k, 1, [1] * m),
-            status="exact",
-            nodes_explored=1,
+            witness=best_col,
+            status="budget-exhausted" if exhausted else "exact",
+            nodes_explored=0 if exhausted else 1,
             wall_time=time.perf_counter() - start,
         )
 
@@ -137,7 +139,6 @@ def exact_M(
     color = [0] * m  # color of edge i; 0 on first arrival at depth i
     last = [1] * m  # largest color edge i may take: one above the largest before it, at most r
     run_max = [0] * m  # largest component shadow among edges before i
-    limit = -1 if budget is None else max(budget, 0)  # `nodes` counts up from 0 and never meets -1
     leaf = m - 1
     nodes = 0
     exhausted = False
@@ -233,5 +234,5 @@ def verify_r2a(n: int, k: int, t: int, s: int) -> dict:
         "s": s,
         "colorings_checked": 1 << (m - 1),
         "nodes": res.nodes_explored,
-        "counterexample": None if complete else res.witness.colors,
+        "counterexample": None if complete else list(res.witness.colors),
     }

@@ -55,7 +55,7 @@ def test_verify_r2a_failed_proof_exits_1(monkeypatch, capsys):
     code, rep = run(capsys, "verify", "r2a", "--n", "5", "--k", "4", "--t", "1", "--s", "2")
     assert code == 1
     assert len(rep["violations"]) == 1
-    assert rep["violations"][0]["counterexample"] == witness.colors
+    assert rep["violations"][0]["counterexample"] == list(witness.colors)
 
 
 def test_components_and_shadow(tmp_path, capsys):

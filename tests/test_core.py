@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from itertools import combinations
@@ -21,7 +22,6 @@ from monotight.core import (
     shadow,
     t_tight_components,
     vertices_to_mask,
-    _check_colors,
     _component_indices,
     _shadow_members,
     _sub_masks,
@@ -241,13 +241,31 @@ class TestColorBuckets:
                 assert all(low and low < (top & -top) for top, low in runs[col])
                 assert expanded == list(zip(masks[col], ranks[col])), (c.n, c.k, c.r, col)
 
-    @pytest.mark.parametrize("bad", [0, -1, 3])
-    def test_colors_mutated_out_of_range_raise(self, bad):
-        # Coloring validates at construction only; colors is a mutable list
-        c = Coloring(4, 3, 2, [1, 1, 1, 1])
-        c.colors[0] = bad
-        with pytest.raises(ValueError, match="colors must lie in \\[1, 2\\]"):
-            measure(c, 1, 3)
+    @pytest.mark.parametrize("r", [2, 300])
+    def test_colors_cannot_be_assigned(self, r):
+        # colors are checked at construction only, so they cannot change
+        c = Coloring(4, 3, r, [1, 1, 1, 1])
+        with pytest.raises(TypeError):
+            c.colors[0] = 0
+
+    @pytest.mark.parametrize("field, value", [("colors", [0, 0, 0, 0]), ("r", 1), ("n", 5)])
+    def test_fields_cannot_be_reassigned(self, field, value):
+        c = Coloring(4, 3, 2, [1, 2, 1, 2])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, field, value)
+        assert (c.n, c.r, list(c.colors)) == (4, 2, [1, 2, 1, 2])
+
+    @pytest.mark.parametrize("r", [2, 12, 300])
+    def test_colorings_from_any_sequence_compare_equal(self, r):
+        colors = [1, 2, 2, 1, 2, 1, 1, 2, 1, 2]
+        built = [
+            Coloring(5, 3, r, seq)
+            for seq in (colors, tuple(colors), bytes(colors), bytearray(colors))
+        ]
+        assert all(c == built[0] for c in built)
+        assert all(list(c.colors) == colors for c in built)
+        assert len({hash(c) for c in built}) == 1
+        assert built[0] != Coloring(5, 3, r, colors[::-1])
 
 
     @pytest.mark.parametrize("n, k", [(2, 3), (5, 1), (4, 0), (0, 0)])
@@ -258,13 +276,22 @@ class TestColorBuckets:
 
 
 def min_max_rule(colors, r):
-    """The color check as one min and one max over the whole list."""
+    """The color check as one type test, one min and one max over the list:
+    every color is an int (a bool is one) in [1, r]."""
+    if not all(isinstance(x, int) for x in colors):
+        return False
     return not colors or (1 <= min(colors) and max(colors) <= r)
+
+
+def coloring_of(colors, r):
+    """A Coloring of K^2_4 (6 edges) whose first colors are `colors` and
+    whose other edges take color 1, which every r allows."""
+    return Coloring(4, 2, r, colors + [1] * (6 - len(colors)))
 
 
 def check_colors_passes(colors, r):
     try:
-        _check_colors(colors, r)
+        coloring_of(colors, r)
     except ValueError:
         return False
     return True
@@ -295,11 +322,12 @@ CHECK_COLORS_CASES = [
 class TestCheckColors:
     @pytest.mark.parametrize("colors, r", CHECK_COLORS_CASES)
     def test_matches_min_max_rule(self, colors, r):
+        # the float cases [1.0, 2.0] and [1.5, 2] raise at construction
         if min_max_rule(colors, r):
-            _check_colors(colors, r)
+            assert list(coloring_of(colors, r).colors)[: len(colors)] == colors
         else:
             with pytest.raises(ValueError, match=f"colors must lie in \\[1, {r}\\]"):
-                _check_colors(colors, r)
+                coloring_of(colors, r)
 
     def test_random_lists_match_min_max_rule(self):
         rng = random.Random(37)

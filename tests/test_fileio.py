@@ -108,7 +108,7 @@ def test_write_coloring_golden():
 
 def test_compact_coloring_with_comments_and_blank_lines():
     text = "# header next\n4 3 2\n1\n# between colors\n\n2\n  1  \n\n2\n# end\n"
-    assert read_coloring(io.StringIO(text)).colors == [1, 2, 1, 2]
+    assert list(read_coloring(io.StringIO(text)).colors) == [1, 2, 1, 2]
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 14])
@@ -121,7 +121,7 @@ def test_compact_reader_names_the_bad_line(monkeypatch, chunk):
         read_coloring(io.StringIO("4 3 2\n1\n# c\n2\nx\n2\n"))
     assert "line 5" in str(exc.value)
     text = "4 3 2\n" + "1\n" * 3 + "# c\n1\n"
-    assert read_coloring(io.StringIO(text)).colors == [1, 1, 1, 1]
+    assert list(read_coloring(io.StringIO(text)).colors) == [1, 1, 1, 1]
 
 
 def test_coloring_rejects_explicit_then_compact():
@@ -264,12 +264,3 @@ def test_writer_matches_one_line_per_color(n):
         same = buf.getvalue() == f"{c.n} {c.k} {c.r}\n" + "".join(f"{x}\n" for x in c.colors)
         assert same, (n, c.k, c.r)
 
-
-@pytest.mark.parametrize("r", [2, 12])
-def test_writer_raises_on_mutated_color_before_writing(r):
-    c = Coloring(5, 3, r, [1] * math.comb(5, 3))
-    c.colors[4] = r + 1
-    buf = io.StringIO()
-    with pytest.raises(KeyError):
-        write_coloring(c, buf)
-    assert buf.getvalue() == ""

@@ -18,6 +18,10 @@ def test_exact_single_color():
     res = exact_M(6, 1, 3, 1, 2)
     assert res.value == math.comb(6, 2)
     assert res.status == "exact"
+    # the single coloring is one node, so a budget of one still proves
+    res = exact_M(6, 1, 3, 1, 2, budget=1)
+    assert (res.value, res.status, res.nodes_explored) == (math.comb(6, 2), "exact", 1)
+    assert res.witness == all_red(6, 3, 1)
 
 
 def test_exact_matches_brute_force_oracle():
@@ -126,7 +130,7 @@ def test_search_witness_colorings(inst, budget, sha256):
 
 
 @pytest.mark.parametrize("budget", [0, -3])
-@pytest.mark.parametrize("inst", [(6, 3, 3, 2, 2), (5, 2, 3, 1, 2)])
+@pytest.mark.parametrize("inst", [(6, 3, 3, 2, 2), (5, 2, 3, 1, 2), (5, 1, 3, 1, 2)])
 def test_budget_at_most_zero_explores_no_node(inst, budget):
     res = exact_M(*inst, budget=budget)
     assert (res.nodes_explored, res.status) == (0, "budget-exhausted")
@@ -275,7 +279,7 @@ def test_verify_r2a_reports_the_witness_of_a_failed_proof(monkeypatch):
     monkeypatch.setattr(search, "exact_M", short)
     rep = verify_r2a(n, k, t, s)
     assert rep["pass"] is False
-    assert rep["counterexample"] == witness.colors
+    assert rep["counterexample"] == list(witness.colors)
     assert rep["nodes"] == 7
 
 
