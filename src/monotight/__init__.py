@@ -4,10 +4,8 @@ Steiner systems, and exact minimax search."""
 
 from .core import (
     Coloring,
-    ComponentPartition,
     Hypergraph,
     MeasureResult,
-    ShadowSet,
     colex_rank,
     colex_unrank,
     measure,
@@ -17,10 +15,8 @@ from .core import (
 
 __all__ = [
     "Coloring",
-    "ComponentPartition",
     "Hypergraph",
     "MeasureResult",
-    "ShadowSet",
     "colex_rank",
     "colex_unrank",
     "measure",

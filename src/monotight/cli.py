@@ -32,18 +32,15 @@ def _load_coloring(path: str):
 
 def _cmd_components(args) -> int:
     h = _load_hypergraph(args.hypergraph)
-    part = t_tight_components(h, args.t)
+    comps = t_tight_components(h, args.t)
     _emit(
         {
             "subcommand": "components",
             "n": h.n,
             "k": h.k,
             "t": args.t,
-            "count": len(part.components),
-            "components": [
-                [list(mask_to_vertices(h.edges[i])) for i in comp]
-                for comp in part.components
-            ],
+            "count": len(comps),
+            "components": [[list(mask_to_vertices(h.edges[i])) for i in comp] for comp in comps],
         }
     )
     return 0
@@ -51,15 +48,15 @@ def _cmd_components(args) -> int:
 
 def _cmd_shadow(args) -> int:
     h = _load_hypergraph(args.hypergraph)
-    sh = shadow(h.edges, args.s)
+    members = shadow(h, args.s)
     _emit(
         {
             "subcommand": "shadow",
             "n": h.n,
             "k": h.k,
             "s": args.s,
-            "count": sh.count,
-            "members": sorted(list(mask_to_vertices(m)) for m in sh.members),
+            "count": len(members),
+            "members": sorted(list(mask_to_vertices(m)) for m in members),
         }
     )
     return 0
@@ -151,7 +148,6 @@ def _resolve_design(spec: str):
 
 def _cmd_design(args) -> int:
     system = _resolve_design(args.name)
-    system.validate()
     report = {
         "subcommand": "design",
         "name": args.name,

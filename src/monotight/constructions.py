@@ -88,7 +88,6 @@ def steiner_coloring(system: SteinerSystem, classes: list[list[int]], t: int = 1
     """Color each k-set of {1..n} by the index of the class containing its
     unique block. Classes must partition the blocks, and blocks within a
     class must pairwise intersect in at most t-1 vertices."""
-    system.validate()
     seen = sorted(i for cls in classes for i in cls)
     if seen != list(range(len(system.blocks))):
         raise ValueError("classes must partition the block list")

@@ -130,19 +130,24 @@ def _check_tsk(k: int, t: int, s: int) -> None:
         raise ValueError(f"need 1 <= s <= k, got s={s}, k={k}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hypergraph:
-    """A k-uniform hypergraph on {1..n} with edges stored as bitmasks."""
+    """A k-uniform hypergraph on {1..n} with edges stored as bitmasks.
+
+    The edges are checked once, here, and stored immutable as a tuple:
+    each one a k-subset of {1..n}, none twice.
+    """
 
     n: int
     k: int
-    edges: list[int]
+    edges: Sequence[int]
 
     def __post_init__(self):
         _check_nk(self.n, self.k)
+        edges = tuple(self.edges)
         full = (1 << self.n) - 1
         seen = set()
-        for e in self.edges:
+        for e in edges:
             if e.bit_count() != self.k:
                 raise ValueError(f"edge {mask_to_vertices(e)} is not a {self.k}-set")
             if e & ~full:
@@ -150,6 +155,7 @@ class Hypergraph:
             if e in seen:
                 raise ValueError(f"duplicate edge {mask_to_vertices(e)}")
             seen.add(e)
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_vertex_lists(cls, n: int, k: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
@@ -193,26 +199,6 @@ class Coloring:
 
 
 @dataclass
-class ComponentPartition:
-    """Partition of an edge list into t-tight components (edge indices)."""
-
-    t: int
-    components: list[list[int]]
-
-
-@dataclass
-class ShadowSet:
-    """The s-subsets of {1..n} contained in at least one generating edge."""
-
-    s: int
-    members: set[int]
-
-    @property
-    def count(self) -> int:
-        return len(self.members)
-
-
-@dataclass
 class MeasureResult:
     """Largest monochromatic t-tight component shadow, with its witness."""
 
@@ -227,8 +213,8 @@ def edge_runs(masks: Iterable[int]) -> list[tuple[int, int]]:
 
 
 def _component_indices(
-    runs: Sequence[tuple[int, int]], t: int, return_keys: bool = False
-) -> list[list[int]] | tuple[list[list[int]], list[list[int]]]:
+    runs: Sequence[tuple[int, int]], t: int
+) -> tuple[list[list[int]], list[list[int]]]:
     """Group runs into t-tight components; components sorted by first run index.
 
     The edges of a run share the k-1 >= t vertices of its top, so a run is
@@ -239,8 +225,8 @@ def _component_indices(
     Union-find keeps every root at the smallest run index, so parent[i] <= i
     and one ascending pass flattens the forest.
 
-    With `return_keys`, also returns each component's distinct t-subsets
-    (as masks), aligned with the components: the t-shadow of the component.
+    Returns the components and, aligned with them, each component's
+    distinct t-subsets (as masks): the t-shadow of the component.
     """
     parent = list(range(len(runs)))
     classes: dict[int, list[tuple[int, int]]] = {}  # key Q -> disjoint (bits, run)
@@ -276,8 +262,6 @@ def _component_indices(
             groups[idx] = [idx]
         else:
             groups[root].append(idx)
-    if not return_keys:
-        return list(groups.values())
     keys: dict[int, list[int]] = {root: [] for root in groups}
     for key, kept in classes.items():
         for bits, idx in kept:
@@ -289,11 +273,12 @@ def _component_indices(
     return list(groups.values()), list(keys.values())
 
 
-def t_tight_components(h: Hypergraph, t: int) -> ComponentPartition:
-    """t-tight components of h: transitive closure of |e ∩ f| >= t merges."""
+def t_tight_components(h: Hypergraph, t: int) -> list[list[int]]:
+    """The t-tight components of h, the transitive closure of |e ∩ f| >= t,
+    as lists of indices into h.edges, each ascending and ordered by first index."""
     if not 1 <= t <= h.k - 1:
         raise ValueError(f"need 1 <= t <= k-1, got t={t}, k={h.k}")
-    return ComponentPartition(t=t, components=_component_indices(edge_runs(h.edges), t))
+    return _component_indices(edge_runs(h.edges), t)[0]
 
 
 def _shadow_members(masks: Iterable[int], s: int, k: int) -> set[int]:
@@ -306,18 +291,11 @@ def _shadow_members(masks: Iterable[int], s: int, k: int) -> set[int]:
     return members
 
 
-def shadow(edges: Iterable[int], s: int) -> ShadowSet:
-    """The s-shadow of an edge set given as bitmasks."""
-    edges = list(edges)
-    if s < 1:
-        raise ValueError("s must be at least 1")
-    if edges:
-        k = edges[0].bit_count()
-        if s > k:
-            raise ValueError(f"need s <= k, got s={s}, k={k}")
-    else:
-        k = s
-    return ShadowSet(s, _shadow_members(edges, s, k))
+def shadow(h: Hypergraph, s: int) -> set[int]:
+    """The s-shadow of h: the s-subsets of {1..n} in at least one edge, as masks."""
+    if not 1 <= s <= h.k:
+        raise ValueError(f"need 1 <= s <= k, got s={s}, k={h.k}")
+    return _shadow_members(h.edges, s, h.k)
 
 
 def _stored_colors(colors: Sequence[int], r: int) -> bytes | tuple[int, ...]:
@@ -418,7 +396,7 @@ def component_shadows(
         return
     # An s-subset of an edge with s <= t lies in one of its t-subsets, so
     # for s <= t the shadow comes from the component's t-subset keys.
-    comps, comp_keys = _component_indices(runs, t, return_keys=True)
+    comps, comp_keys = _component_indices(runs, t)
     for comp, keys in zip(comps, comp_keys):
         counts = []
         for s in ss:

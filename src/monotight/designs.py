@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 from .core import _sub_masks, mask_to_vertices, vertices_to_mask
 
@@ -19,29 +20,31 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class SteinerSystem:
     """An (n, h, k)-Steiner system: h-blocks covering every k-set exactly once.
 
     class_of, when present, tags each block with a parallel class index.
+    The coverage is checked once, here, exhaustively, and the blocks and
+    tags are stored immutable as tuples.
     """
 
     n: int
     h: int
     k: int
-    blocks: list[int]
-    class_of: list[int] | None = field(default=None)
+    blocks: Sequence[int]
+    class_of: Sequence[int] | None = None
 
-    def validate(self) -> None:
-        """Exhaustively check the exactly-one-block coverage invariant."""
+    def __post_init__(self):
         if not self.n > self.h >= self.k:
             raise ValueError(f"need n > h >= k, got n={self.n}, h={self.h}, k={self.k}")
+        blocks = tuple(self.blocks)
         expected = math.comb(self.n, self.k) // math.comb(self.h, self.k)
-        if len(self.blocks) != expected:
-            raise ValueError(f"expected {expected} blocks, got {len(self.blocks)}")
+        if len(blocks) != expected:
+            raise ValueError(f"expected {expected} blocks, got {len(blocks)}")
         covered: dict[int, int] = {}
         full = (1 << self.n) - 1
-        for bi, block in enumerate(self.blocks):
+        for bi, block in enumerate(blocks):
             if block.bit_count() != self.h or block & ~full:
                 raise ValueError(f"block {bi} is not an h-subset of {{1..n}}")
             for key in _sub_masks(block, self.k):
@@ -53,6 +56,12 @@ class SteinerSystem:
                 covered[key] = bi
         if len(covered) != math.comb(self.n, self.k):
             raise ValueError("some k-set is not covered by any block")
+        object.__setattr__(self, "blocks", blocks)
+        if self.class_of is not None:
+            class_of = tuple(self.class_of)
+            if len(class_of) != len(blocks):
+                raise ValueError(f"expected {len(blocks)} class tags, got {len(class_of)}")
+            object.__setattr__(self, "class_of", class_of)
 
     def parallel_classes(self) -> list[list[int]]:
         """Block indices grouped by class tag."""

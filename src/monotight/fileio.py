@@ -16,6 +16,10 @@ before, with the same colors and the same errors.
 Colors are checked once, when `Coloring` is built, and stored as bytes
 (r <= 255) or a tuple. The writer takes them as stored, and the reader
 hands what it read to `Coloring` as is: neither checks nor converts them.
+Hypergraphs and designs share one set-list reader and writer. A design is
+checked when it is read, as every `SteinerSystem` is when it is built: a
+file that is not a Steiner system raises `FormatError`, as does a
+hypergraph file with a repeated edge.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import io
 import math
 import sys
 from itertools import chain, islice
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, TextIO, TypeVar
 
 from .core import (
     Coloring,
@@ -39,6 +43,8 @@ from .designs import SteinerSystem
 class FormatError(ValueError):
     """Malformed input file; message carries the offending line number."""
 
+
+T = TypeVar("T")
 
 _CHUNK = 1 << 14  # lines per bulk conversion in read_coloring
 _DIGITS = b"0123456789"
@@ -61,34 +67,54 @@ def _ints(line: str, lineno: int) -> list[int]:
         raise FormatError(f"line {lineno}: expected integers, got {line!r}") from exc
 
 
-def write_hypergraph(h: Hypergraph, fh: TextIO) -> None:
-    fh.write(f"{h.n} {h.k}\n")
-    for e in h.edges:
+def _header(fh: TextIO, what: str, names: str) -> tuple[int, list[int]]:
+    """The line number and values of the first data line, one int per name."""
+    try:
+        lineno, header = next(_data_lines(fh))
+    except StopIteration:
+        raise FormatError(f"empty {what} file") from None
+    vals = _ints(header, lineno)
+    if len(vals) != len(names.split()):
+        raise FormatError(f"line {lineno}: header must be '{names}'")
+    return lineno, vals
+
+
+def _checked(make: Callable[..., T], *args) -> T:
+    """make(*args), with its ValueError raised as a FormatError."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def _write_sets(fh: TextIO, head: Iterable[int], sets: Iterable[int]) -> None:
+    fh.write(" ".join(map(str, head)) + "\n")
+    for e in sets:
         fh.write(" ".join(str(v) for v in mask_to_vertices(e)) + "\n")
 
 
-def read_hypergraph(fh: TextIO) -> Hypergraph:
-    lines = _data_lines(fh)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise FormatError("empty hypergraph file") from None
-    vals = _ints(header, lineno)
-    if len(vals) != 2:
-        raise FormatError(f"line {lineno}: header must be 'n k'")
-    n, k = vals
-    edges = []
-    for lineno, line in lines:
+def _read_sets(fh: TextIO, what: str, names: str, make: Callable[..., T]) -> T:
+    """A header "n size ...", then one set of `size` vertices of {1..n} per
+    line; returns make(*header, sets)."""
+    lineno, vals = _header(fh, what, names)
+    n, size = vals[:2]
+    sets = []
+    for lineno, line in _data_lines(fh, start=lineno + 1):
         vs = _ints(line, lineno)
-        if len(vs) != k:
-            raise FormatError(f"line {lineno}: expected {k} vertices, got {len(vs)}")
+        if len(vs) != size:
+            raise FormatError(f"line {lineno}: expected {size} vertices, got {len(vs)}")
         if any(not 1 <= v <= n for v in vs):
             raise FormatError(f"line {lineno}: vertex out of range [1, {n}]")
-        edges.append(vertices_to_mask(vs))
-    try:
-        return Hypergraph(n, k, edges)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+        sets.append(vertices_to_mask(vs))
+    return _checked(make, *vals, sets)
+
+
+def write_hypergraph(h: Hypergraph, fh: TextIO) -> None:
+    _write_sets(fh, (h.n, h.k), h.edges)
+
+
+def read_hypergraph(fh: TextIO) -> Hypergraph:
+    return _read_sets(fh, "hypergraph", "n k", Hypergraph)
 
 
 def write_coloring(c: Coloring, fh: TextIO) -> None:
@@ -107,15 +133,7 @@ def write_coloring(c: Coloring, fh: TextIO) -> None:
 
 
 def read_coloring(fh: TextIO) -> Coloring:
-    lines = _data_lines(fh)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise FormatError("empty coloring file") from None
-    vals = _ints(header, lineno)
-    if len(vals) != 3:
-        raise FormatError(f"line {lineno}: header must be 'n k r'")
-    n, k, r = vals
+    lineno, (n, k, r) = _header(fh, "coloring", "n k r")
     m = math.comb(n, k)
     # The writer's form: m lines, each one ASCII digit and "\n", so exactly
     # 2m characters. Reading one more tells a longer body apart; its colors
@@ -125,7 +143,7 @@ def read_coloring(fh: TextIO) -> Coloring:
         raw = prefix.encode("ascii")
         digits = raw[::2]
         if raw[1::2] == b"\n" * m and not digits.translate(None, _DIGITS):
-            return _coloring(n, k, r, digits.translate(_DIGIT_VALUES))
+            return _checked(Coloring, n, k, r, digits.translate(_DIGIT_VALUES))
     # Otherwise the lines as the stream gives them: the prefix completed to
     # a line end, split at "\n" (which a text file opened in Python's default
     # mode ends each line with), then the rest of the stream. int() parses a
@@ -180,38 +198,12 @@ def read_coloring(fh: TextIO) -> Coloring:
         compact = [explicit[rank] for rank in range(m)]
     if len(compact) != m:
         raise FormatError(f"compact coloring lists {len(compact)} of {m} colors")
-    return _coloring(n, k, r, compact)
-
-
-def _coloring(n: int, k: int, r: int, colors: Sequence[int]) -> Coloring:
-    try:
-        return Coloring(n, k, r, colors)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return _checked(Coloring, n, k, r, compact)
 
 
 def write_design(d: SteinerSystem, fh: TextIO) -> None:
-    fh.write(f"{d.n} {d.h} {d.k}\n")
-    for b in d.blocks:
-        fh.write(" ".join(str(v) for v in mask_to_vertices(b)) + "\n")
+    _write_sets(fh, (d.n, d.h, d.k), d.blocks)
 
 
 def read_design(fh: TextIO) -> SteinerSystem:
-    lines = _data_lines(fh)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise FormatError("empty design file") from None
-    vals = _ints(header, lineno)
-    if len(vals) != 3:
-        raise FormatError(f"line {lineno}: header must be 'n h k'")
-    n, h, k = vals
-    blocks = []
-    for lineno, line in lines:
-        vs = _ints(line, lineno)
-        if len(vs) != h:
-            raise FormatError(f"line {lineno}: expected {h} vertices, got {len(vs)}")
-        if any(not 1 <= v <= n for v in vs):
-            raise FormatError(f"line {lineno}: vertex out of range [1, {n}]")
-        blocks.append(vertices_to_mask(vs))
-    return SteinerSystem(n=n, h=h, k=k, blocks=blocks)
+    return _read_sets(fh, "design", "n h k", SteinerSystem)

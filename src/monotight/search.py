@@ -100,32 +100,37 @@ def exact_M(
     Depth-first over edges in colex order; colors must first appear in
     increasing index order (cuts the r! color symmetry), so edge i tries
     colors 1..last[i], where last[i] is one above the largest color before
-    it, capped at r. Each color keeps a list of its components as (edge
-    mask, shadow mask) pairs over the tables of `_edge_tables`. Coloring
-    edge i with c merges edge i with every component of c whose edge mask
-    meets adj[i] into one new pair; the old list is kept, so undo puts it
-    back. A branch is pruned as soon as the running maximum shadow reaches
-    the incumbent, which is sound because adding edges never shrinks
-    components or shadows. A coloring of the last edge that passes that test
-    is a complete coloring below the incumbent, so it becomes the incumbent
-    at once, without a step to depth C(n, k). The search is one loop over
-    the edge depth with per-depth state, so its depth C(n, k) is not bounded
-    by Python's recursion limit. The budget caps the nodes explored; a
-    budget <= 0 explores none and returns the starting construction as a
-    "budget-exhausted" result. With r = 1 the single coloring is one node.
+    it, capped at q = min(r, C(n, k)). Each color keeps a list of its
+    components as (edge mask, shadow mask) pairs over the tables of
+    `_edge_tables`. Coloring edge i with c merges edge i with every
+    component of c whose edge mask meets adj[i] into one new pair; the old
+    list is kept, so undo puts it back. A branch is pruned as soon as the
+    running maximum shadow reaches the incumbent, which is sound because
+    adding edges never shrinks components or shadows. A coloring of the last
+    edge that passes that test is a complete coloring below the incumbent,
+    so it becomes the incumbent at once, without a step to depth C(n, k).
+    The search is one loop over the edge depth with per-depth state, so its
+    depth C(n, k) is not bounded by Python's recursion limit. The budget
+    caps the nodes explored; a budget <= 0 explores none and returns the
+    starting construction as a "budget-exhausted" result. With q = 1 the
+    single coloring is one node. At most C(n, k) colors occur in a coloring,
+    so for r above that the search, its nodes and its witness colors are
+    those at r = C(n, k), and its cost does not grow with r; the witness
+    keeps r.
     """
     _check_args(n, r, k, t, s)
     start = time.perf_counter()
     m = math.comb(n, k)
+    q = min(r, m)  # at most m colors occur, so every r >= m searches as r = m
 
-    best, best_col = _initial_incumbent(n, r, k, t, s)
+    best, best_col = _initial_incumbent(n, q, k, t, s)
     limit = -1 if budget is None else max(budget, 0)  # `nodes` counts up from 0 and never meets -1
-    if r == 1:
+    if q == 1:
         # one node: the single coloring is the constant one, the incumbent
         exhausted = limit == 0
         return SearchResult(
             value=best,
-            witness=best_col,
+            witness=Coloring(n, k, r, best_col.colors),
             status="budget-exhausted" if exhausted else "exact",
             nodes_explored=0 if exhausted else 1,
             wall_time=time.perf_counter() - start,
@@ -134,10 +139,10 @@ def exact_M(
     adj, shade = _edge_tables(n, k, t, s)
     witness = best_col.colors
     # comps[c]: the components of color c as (edge mask, shadow mask) pairs
-    comps: list[list[tuple[int, int]]] = [[] for _ in range(r + 1)]
+    comps: list[list[tuple[int, int]]] = [[] for _ in range(q + 1)]
     saved: list[list[tuple[int, int]] | None] = [None] * m  # comps[color[i]] before edge i
     color = [0] * m  # color of edge i; 0 on first arrival at depth i
-    last = [1] * m  # largest color edge i may take: one above the largest before it, at most r
+    last = [1] * m  # largest color edge i may take: one above the largest before it, at most q
     run_max = [0] * m  # largest component shadow among edges before i
     leaf = m - 1
     nodes = 0
@@ -179,7 +184,7 @@ def exact_M(
                 comps[c] = kept
                 cap = last[i]
                 i += 1
-                last[i] = cap + 1 if c == cap < r else cap
+                last[i] = cap + 1 if c == cap < q else cap
                 run_max[i] = size
 
     return SearchResult(

@@ -101,7 +101,7 @@ def test_criterion_7_construction_values():
     sizes = []
     c = parity_coloring(12)
     for col in (1, 2):
-        sizes += [len(comp) for comp in t_tight_components(c.color_class(col), 2).components]
+        sizes += [len(comp) for comp in t_tight_components(c.color_class(col), 2)]
     ok &= sorted(sizes) == [20, 20, 90, 90]
     details.append(f"parity(12) comps={sorted(sizes)}")
     ratio = measure(two_clique_coloring(300), 1, 3).value / math.comb(300, 3)
@@ -125,7 +125,7 @@ def test_criterion_8_steiner_sharpness():
         comp_vertices = set()
         for col in range(1, c.r + 1):
             h = c.color_class(col)
-            for comp in t_tight_components(h, 1).components:
+            for comp in t_tight_components(h, 1):
                 verts = 0
                 for i in comp:
                     verts |= h.edges[i]
@@ -139,7 +139,7 @@ def test_criterion_8_steiner_sharpness():
     shapes = set()
     for col in range(1, 8):
         h = c.color_class(col)
-        for comp in t_tight_components(h, 1).components:
+        for comp in t_tight_components(h, 1):
             verts = 0
             for i in comp:
                 verts |= h.edges[i]

@@ -106,6 +106,24 @@ def test_design_subcommand(capsys):
     assert rep["classes"] == 6
 
 
+def test_broken_design_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "fano.des"
+    code, _ = run(capsys, "design", "fano", "--out", str(path))
+    assert code == 0
+    broken = tmp_path / "broken.des"
+    broken.write_text("".join(path.read_text().splitlines(keepends=True)[:7]))
+    for argv in (
+        ["design", str(broken)],
+        ["construct", "steiner", "--design", str(broken), "--out", str(tmp_path / "x.col")],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: expected 7 blocks, got 6\n"
+    code, rep = run(capsys, "design", str(path))
+    assert code == 0 and rep["valid"] and rep["blocks"] == 7
+
+
 def test_bad_file_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.hg"
     path.write_text("5 3\n1 2\n")

@@ -24,7 +24,7 @@ def test_all_red():
         for s in (1, 2, 3):
             assert measure(c, t, s).value == math.comb(6, s)
     h = c.color_class(1)
-    assert len(t_tight_components(h, 1).components) == 1
+    assert len(t_tight_components(h, 1)) == 1
 
 
 # reference oracle: the per-edge rule of each construction, one mask test per edge
@@ -76,8 +76,8 @@ def test_majority_single_components_per_color():
         pair_union = set()
         for col in (1, 2):
             h = c.color_class(col)
-            assert len(t_tight_components(h, 1).components) == 1
-            assert len(t_tight_components(h, 2).components) == 1
+            assert len(t_tight_components(h, 1)) == 1
+            assert len(t_tight_components(h, 2)) == 1
             from monotight.core import _shadow_members
 
             pair_union |= _shadow_members(h.edges, 2, 3)
@@ -89,7 +89,7 @@ def test_parity_components_n12():
     sizes = []
     for col in (1, 2):
         h = c.color_class(col)
-        sizes += [len(comp) for comp in t_tight_components(h, 2).components]
+        sizes += [len(comp) for comp in t_tight_components(h, 2)]
     assert sorted(sizes) == [20, 20, 90, 90]
     assert sum(sizes) == math.comb(12, 3)
 
@@ -97,7 +97,7 @@ def test_parity_components_n12():
 def test_two_clique_red_components():
     c = two_clique_coloring(20)
     red = c.color_class(1)
-    comps = t_tight_components(red, 1).components
+    comps = t_tight_components(red, 1)
     assert len(comps) == 2
 
 
@@ -210,7 +210,7 @@ def test_steiner_coloring_affine_plane():
     assert c.r == 4
     for col in range(1, 5):
         h = c.color_class(col)
-        for comp in t_tight_components(h, 1).components:
+        for comp in t_tight_components(h, 1):
             verts = 0
             for i in comp:
                 verts |= h.edges[i]
@@ -225,7 +225,7 @@ def test_steiner_coloring_components_are_block_cliques():
     block_sets = {b for b in d.blocks}
     for col in range(1, c.r + 1):
         h = c.color_class(col)
-        for comp in t_tight_components(h, 1).components:
+        for comp in t_tight_components(h, 1):
             verts = 0
             for i in comp:
                 verts |= h.edges[i]

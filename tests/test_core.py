@@ -62,7 +62,7 @@ def naive_measure(c, t, s):
     for col in range(1, c.r + 1):
         ranks = [i for i, x in enumerate(c.colors) if x == col]
         for comp in naive_components([edges[i] for i in ranks], t):
-            cnt = shadow([edges[ranks[i]] for i in comp], s).count
+            cnt = len(shadow(Hypergraph(c.n, c.k, [edges[ranks[i]] for i in comp]), s))
             if best[1] == 0 or cnt > best[0]:
                 best = (cnt, col, frozenset(ranks[i] for i in comp))
     return best
@@ -141,21 +141,46 @@ class TestHypergraph:
     def test_complete(self):
         assert len(Hypergraph.complete(6, 3)) == 20
 
+    def test_edges_cannot_be_appended(self):
+        # edges are checked at construction only, so a duplicate edge or a
+        # 2-set cannot be added to a 3-graph afterwards
+        h = Hypergraph.from_vertex_lists(5, 3, [[1, 2, 3], [3, 4, 5]])
+        with pytest.raises(AttributeError):
+            h.edges.append(h.edges[0])
+        with pytest.raises(AttributeError):
+            h.edges.append(0b11)
+        assert h.edges == (vertices_to_mask([1, 2, 3]), vertices_to_mask([3, 4, 5]))
+        assert t_tight_components(h, 1) == [[0, 1]]
+
+    @pytest.mark.parametrize(
+        "field, value", [("edges", [0b111, 0b111, 0b11]), ("edges", ()), ("n", 3), ("k", 2)]
+    )
+    def test_fields_cannot_be_reassigned(self, field, value):
+        h = Hypergraph.from_vertex_lists(5, 3, [[1, 2, 3], [3, 4, 5]])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(h, field, value)
+        assert (h.n, h.k, len(h)) == (5, 3, 2)
+
+    def test_edges_are_copied_from_the_input(self):
+        edges = [0b111, 0b1110]
+        h = Hypergraph(5, 3, edges)
+        edges.append(0b11)
+        assert h.edges == (0b111, 0b1110)
+        assert Hypergraph(5, 3, iter(edges[:2])) == h
+
 
 class TestComponents:
     def test_chain_t1(self):
         h = Hypergraph.from_vertex_lists(7, 3, [[1, 2, 3], [3, 4, 5], [5, 6, 7]])
-        part = t_tight_components(h, 1)
-        assert part.components == [[0, 1, 2]]
+        assert t_tight_components(h, 1) == [[0, 1, 2]]
 
     def test_chain_t2_singletons(self):
         h = Hypergraph.from_vertex_lists(7, 3, [[1, 2, 3], [3, 4, 5], [5, 6, 7]])
-        part = t_tight_components(h, 2)
-        assert part.components == [[0], [1], [2]]
+        assert t_tight_components(h, 2) == [[0], [1], [2]]
 
     def test_empty(self):
         h = Hypergraph(5, 3, [])
-        assert t_tight_components(h, 1).components == []
+        assert t_tight_components(h, 1) == []
 
     def test_t_out_of_range(self):
         h = Hypergraph.from_vertex_lists(5, 3, [[1, 2, 3]])
@@ -173,7 +198,7 @@ class TestComponents:
             if not edges:
                 continue
             t = rng.randint(1, 2)
-            got = sorted(tuple(c) for c in _component_indices(edge_runs(edges), t))
+            got = sorted(tuple(c) for c in _component_indices(edge_runs(edges), t)[0])
             assert got == naive_components(edges, t)
 
     def test_order_independence(self):
@@ -185,12 +210,12 @@ class TestComponents:
             if not edges:
                 continue
             t = rng.randint(1, 2)
-            base = {frozenset(edges[i] for i in c) for c in _component_indices(edge_runs(edges), t)}
+            base = {frozenset(edges[i] for i in c) for c in _component_indices(edge_runs(edges), t)[0]}
             shuffled = edges[:]
             rng.shuffle(shuffled)
             other = {
                 frozenset(shuffled[i] for i in c)
-                for c in _component_indices(edge_runs(shuffled), t)
+                for c in _component_indices(edge_runs(shuffled), t)[0]
             }
             assert base == other
 
@@ -204,14 +229,14 @@ class TestComponents:
             ss = range(1, k + 1)
             runs = edge_runs(edges)
             got = list(component_shadows(runs, t, ss, k))
-            assert [comp for comp, _ in got] == _component_indices(runs, t)
-            comps, keys = _component_indices(runs, t, return_keys=True)
-            assert comps == _component_indices(runs, t)
+            comps, keys = _component_indices(runs, t)
+            assert [comp for comp, _ in got] == comps
             for comp, comp_keys in zip(comps, keys):
                 assert len(comp_keys) == len(set(comp_keys))
-                assert set(comp_keys) == shadow([edges[i] for i in comp], t).members
+                assert set(comp_keys) == shadow(Hypergraph(n, k, [edges[i] for i in comp]), t)
             for comp, counts in got:
-                assert counts == tuple(shadow([edges[i] for i in comp], s).count for s in ss)
+                h = Hypergraph(n, k, [edges[i] for i in comp])
+                assert counts == tuple(len(shadow(h, s)) for s in ss)
 
 
 class TestColorBuckets:
@@ -223,9 +248,9 @@ class TestColorBuckets:
         for col in range(1, 4):
             assert ranks[col] == [i for i, x in enumerate(c.colors) if x == col]
             assert masks[col] == [all_edges[i] for i in ranks[col]]
-            assert c.color_class(col).edges == masks[col]
+            assert list(c.color_class(col).edges) == masks[col]
         for col in (-1, 0, 4):
-            assert c.color_class(col).edges == []
+            assert list(c.color_class(col).edges) == []
 
     def test_expanded_runs_are_the_buckets(self):
         for c in oracle_colorings():
@@ -340,25 +365,29 @@ class TestCheckColors:
 class TestShadow:
     def test_single_edge(self):
         e = vertices_to_mask([1, 2, 3])
-        sh = shadow([e], 2)
-        assert sh.count == 3
-        assert {mask_to_vertices(m) for m in sh.members} == {(1, 2), (1, 3), (2, 3)}
+        sh = shadow(Hypergraph(3, 3, [e]), 2)
+        assert len(sh) == 3
+        assert {mask_to_vertices(m) for m in sh} == {(1, 2), (1, 3), (2, 3)}
 
     def test_s_equals_k_identity(self):
         e = vertices_to_mask([1, 2, 3])
-        sh = shadow([e], 3)
-        assert sh.members == {e}
+        assert shadow(Hypergraph(3, 3, [e]), 3) == {e}
 
     def test_complete_hypergraph_shadow_complete(self):
-        sh = shadow(colex_edges(5, 3), 2)
-        assert sh.count == math.comb(5, 2)
+        assert len(shadow(Hypergraph.complete(5, 3), 2)) == math.comb(5, 2)
 
     def test_empty_and_errors(self):
-        assert shadow([], 2).count == 0
+        assert shadow(Hypergraph(5, 3, []), 2) == set()
+        h = Hypergraph.from_vertex_lists(3, 3, [[1, 2, 3]])
         with pytest.raises(ValueError):
-            shadow([vertices_to_mask([1, 2, 3])], 4)
+            shadow(h, 4)
         with pytest.raises(ValueError):
-            shadow([vertices_to_mask([1, 2, 3])], 0)
+            shadow(h, 0)
+
+    def test_s_is_checked_against_k_not_against_the_edges(self):
+        # an edgeless 3-graph has no 4-shadow
+        with pytest.raises(ValueError, match="need 1 <= s <= k, got s=4, k=3"):
+            shadow(Hypergraph(5, 3, []), 4)
 
     def test_nesting(self):
         # E^(s) is the union of s-subsets of E^(s') for s <= s'

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import combinations
 
@@ -16,7 +17,6 @@ from monotight.designs import (
 @pytest.mark.parametrize("q,classes", [(2, 3), (3, 4), (5, 6), (7, 8)])
 def test_affine_plane_valid(q, classes):
     d = affine_plane(q)
-    d.validate()
     assert len(d.blocks) == q * (q + 1)
     assert len(d.parallel_classes()) == classes
     for cls in d.parallel_classes():
@@ -38,13 +38,11 @@ def test_affine_plane_rejects_composite():
 
 def test_fano_every_pair_once():
     d = builtin_design("fano")
-    d.validate()
     assert len(d.blocks) == 7
 
 
 def test_s348_every_triple_once_and_complement_closed():
     d = builtin_design("s348")
-    d.validate()
     assert len(d.blocks) == 14
     full = (1 << 8) - 1
     blocks = set(d.blocks)
@@ -54,18 +52,44 @@ def test_s348_every_triple_once_and_complement_closed():
 
 def test_ag23_matches_affine_plane_3():
     d = builtin_design("ag23")
-    d.validate()
     ap = affine_plane(3)
-    ap.validate()
     assert (d.n, d.h, d.k) == (ap.n, ap.h, ap.k)
     assert len(d.blocks) == len(ap.blocks)
 
 
 def test_validator_catches_broken_design():
     d = builtin_design("fano")
-    broken = SteinerSystem(7, 3, 2, d.blocks[:-1] + [d.blocks[0]])
-    with pytest.raises(ValueError):
-        broken.validate()
+    with pytest.raises(ValueError, match=r"2-set \(2, 3\) covered by blocks 0 and 6"):
+        SteinerSystem(7, 3, 2, d.blocks[:-1] + (d.blocks[0],))
+    with pytest.raises(ValueError, match="expected 7 blocks, got 6"):
+        SteinerSystem(7, 3, 2, d.blocks[:-1])
+    with pytest.raises(ValueError, match="need n > h >= k"):
+        SteinerSystem(7, 7, 2, [])
+
+
+@pytest.mark.parametrize(
+    "field, value", [("blocks", (0b111,) * 7), ("class_of", None), ("n", 8), ("k", 3)]
+)
+def test_fields_cannot_be_reassigned(field, value):
+    d = affine_plane(3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(d, field, value)
+    assert (d.n, d.h, d.k, len(d.blocks)) == (9, 3, 2, 12)
+    assert len(d.parallel_classes()) == 4
+
+
+def test_blocks_and_class_tags_are_tuples():
+    blocks = list(affine_plane(3).blocks)
+    class_of = list(affine_plane(3).class_of)
+    d = SteinerSystem(9, 3, 2, blocks, class_of)
+    assert (d.blocks, d.class_of) == (tuple(blocks), tuple(class_of))
+    with pytest.raises(AttributeError):
+        d.blocks.append(blocks[0])
+    blocks[0] = blocks[1]  # the input list is copied, not kept
+    assert d.blocks[0] != d.blocks[1]
+    assert builtin_design("fano").class_of is None
+    with pytest.raises(ValueError, match="expected 12 class tags, got 11"):
+        SteinerSystem(9, 3, 2, blocks=d.blocks, class_of=class_of[:-1])
 
 
 def test_partition_fano_t1():

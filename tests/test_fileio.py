@@ -60,7 +60,64 @@ def test_design_roundtrip():
     d = builtin_design("s348")
     back = roundtrip(write_design, read_design, d)
     assert back.blocks == d.blocks
-    back.validate()
+
+
+def test_set_list_files_keep_their_format():
+    h = Hypergraph.from_vertex_lists(7, 3, [[5, 6, 7], [1, 2, 3]])
+    buf = io.StringIO()
+    write_hypergraph(h, buf)
+    assert buf.getvalue() == "7 3\n5 6 7\n1 2 3\n"
+    buf = io.StringIO()
+    write_design(builtin_design("fano"), buf)
+    assert buf.getvalue() == "7 3 2\n1 2 3\n1 4 5\n1 6 7\n2 4 6\n2 5 7\n3 4 7\n3 5 6\n"
+
+
+def fano_text(blocks):
+    buf = io.StringIO()
+    write_design(builtin_design("fano"), buf)
+    head, *lines = buf.getvalue().splitlines(keepends=True)
+    return head + "".join(lines[i] for i in blocks)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (fano_text(range(6)), "expected 7 blocks, got 6"),
+        (fano_text([0, 1, 2, 3, 4, 5, 0]), "2-set (2, 3) covered by blocks 0 and 6"),
+        (fano_text([0, 1, 2, 3, 4, 5, 5]), "covered by blocks 5 and 6"),
+        ("7 7 2\n", "need n > h >= k"),
+        ("", "empty design file"),
+        ("7 3\n1 2 3\n", "line 1: header must be 'n h k'"),
+        ("# c\n7 3 2\n1 2 3\n1 4\n", "line 4: expected 3 vertices, got 2"),
+        ("7 3 2\n1 2 3\n\n1 4 8\n", "line 4: vertex out of range [1, 7]"),
+    ],
+    ids=range(8),
+)
+def test_design_reader_raises_format_error(text, message):
+    with pytest.raises(FormatError) as exc:
+        read_design(io.StringIO(text))
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "read, text, message",
+    [
+        (read_hypergraph, "", "empty hypergraph file"),
+        (read_hypergraph, "5\n", "line 1: header must be 'n k'"),
+        (read_hypergraph, "5 x\n", "line 1: expected integers, got '5 x'"),
+        (read_hypergraph, "5 3\n\n1 2\n", "line 3: expected 3 vertices, got 2"),
+        (read_hypergraph, "5 3\n1 2 9\n", "line 2: vertex out of range [1, 5]"),
+        (read_hypergraph, "5 3\n1 2 3\n3 2 1\n", "duplicate edge (1, 2, 3)"),
+        (read_hypergraph, "2 3\n", "need 2 <= k <= n, got k=3, n=2"),
+        (read_coloring, "", "empty coloring file"),
+        (read_coloring, "# c\n4 3\n", "line 2: header must be 'n k r'"),
+    ],
+    ids=range(9),
+)
+def test_header_and_set_errors_keep_their_text(read, text, message):
+    with pytest.raises(FormatError) as exc:
+        read(io.StringIO(text))
+    assert message in str(exc.value)
 
 
 def test_comments_and_blank_lines_ignored():

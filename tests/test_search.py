@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import pytest
 
@@ -156,6 +157,34 @@ def test_oracle_and_search_refuse_the_same_inputs(inst):
     with pytest.raises(ValueError) as searched:
         exact_M(*inst)
     assert str(oracle.value) == str(searched.value)
+
+
+@pytest.mark.parametrize("n, k, t, s", [(4, 3, 1, 1), (5, 3, 2, 2), (4, 2, 1, 2), (3, 3, 1, 1)])
+@pytest.mark.parametrize("budget", [None, 5])
+def test_colors_above_the_edge_count_search_as_the_edge_count(n, k, t, s, budget):
+    # at most C(n, k) colors occur, so every r >= C(n, k) gives the result of
+    # r = C(n, k); only the witness keeps r
+    m = math.comb(n, k)
+    base = exact_M(n, m, k, t, s, budget=budget)
+    for r in (m + 1, m + 7, 300, 10**6):
+        res = exact_M(n, r, k, t, s, budget=budget)
+        assert (res.value, res.status, res.nodes_explored) == (
+            base.value, base.status, base.nodes_explored
+        )
+        assert list(res.witness.colors) == list(base.witness.colors)
+        assert res.witness.r == r
+
+
+def test_search_cost_does_not_grow_with_r():
+    tracemalloc.start()
+    try:
+        res = exact_M(4, 10**5, 3, 1, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (res.value, res.nodes_explored, list(res.witness.colors)) == (3, 10, [1, 2, 3, 4])
+    assert res.witness.r == 10**5
+    assert peak < 200_000  # bytes; a list per color would take megabytes
 
 
 def test_parameter_errors():
