@@ -140,7 +140,7 @@ def _cmd_construct(args) -> int:
 def _resolve_design(spec: str):
     if spec in ("fano", "s348", "ag23"):
         return designs.builtin_design(spec)
-    if spec.startswith("ap"):
+    if spec.startswith("ap") and spec[2:].isdecimal():
         return designs.affine_plane(int(spec[2:]))
     with open(spec) as fh:
         return fileio.read_design(fh)

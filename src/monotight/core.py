@@ -193,9 +193,9 @@ class Coloring:
         object.__setattr__(self, "colors", _stored_colors(self.colors, self.r))
 
     def color_class(self, i: int) -> Hypergraph:
-        """The hypergraph of edges with color i."""
-        masks, _ = color_buckets(self.colors, self.r, colex_edges(self.n, self.k))
-        return Hypergraph(self.n, self.k, masks[i] if 1 <= i <= self.r else [])
+        """The hypergraph of edges with color i (none for i outside [1, r])."""
+        edges = colex_edges(self.n, self.k)
+        return Hypergraph(self.n, self.k, [e for e, col in zip(edges, self.colors) if col == i])
 
 
 @dataclass
@@ -315,45 +315,30 @@ def _stored_colors(colors: Sequence[int], r: int) -> bytes | tuple[int, ...]:
     return out
 
 
-def color_buckets(
-    colors: Sequence[int], r: int, edges: Iterable[int]
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Edge masks and their colex ranks, bucketed by color.
-
-    `edges` lists every edge in colex order and `colors[rank]` is the color
-    of the edge of that rank, a color in [1, r] as `Coloring` stores it.
-    Bucket i holds color i; bucket 0 stays empty.
-    """
-    masks: list[list[int]] = [[] for _ in range(r + 1)]
-    ranks: list[list[int]] = [[] for _ in range(r + 1)]
-    for rank, (mask, col) in enumerate(zip(edges, colors)):
-        masks[col].append(mask)
-        ranks[col].append(rank)
-    return masks, ranks
-
-
-def color_runs(c: Coloring) -> tuple[list[list[tuple[int, int]]], list[list[int]]]:
+def color_runs(c: Coloring) -> tuple[dict[int, list[tuple[int, int]]], dict[int, list[int]]]:
     """Each color's runs in colex order, and the colex rank of bit 0 of each run.
 
     For a (k-1)-set `top` with lowest vertex a >= 2, the edges top | x with
     x < a sit at consecutive colex ranks base .. base + a - 2, so edge
     top | x has rank base + (bit index of x). Run (top, low) of color i
     holds the x whose edges have color i; a top whose block holds no edge of
-    color i gives no run. Bucket 0 stays empty.
+    color i gives no run. Both are dicts keyed by color, ascending.
 
     Up to 255 colors, the coloring stores its colors as bytes: each color's
-    block is one `int(..., 2)` of a byte slice of them, and the last color
-    is the rest of the block. Above 255, the colors are a tuple, and every
-    edge is a run of its own.
+    block is one `int(..., 2)` of a byte slice of them, the last color is
+    the rest of the block, and every color in [1, r] has an entry. Above
+    255, the colors are a tuple, every edge is a run of its own, and only
+    the colors that occur have an entry, so the cost does not grow with r.
     """
     r = c.r
     if r > 255:
-        masks, ranks = color_buckets(c.colors, r, colex_edges(c.n, c.k))
-        bases = [
-            [rank + 1 - (e & -e).bit_length() for e, rank in zip(ms, rs)]
-            for ms, rs in zip(masks, ranks)
-        ]
-        return [edge_runs(ms) for ms in masks], bases
+        runs = {col: [] for col in sorted(set(c.colors))}
+        bases = {col: [] for col in runs}
+        for rank, (e, col) in enumerate(zip(colex_edges(c.n, c.k), c.colors)):
+            low = e & -e
+            runs[col].append((e ^ low, low))
+            bases[col].append(rank + 1 - low.bit_length())
+        return runs, bases
     m = len(c.colors)
     blocks = []  # (top, base, slice start, slice end)
     base = 0
@@ -366,8 +351,8 @@ def color_runs(c: Coloring) -> tuple[list[list[tuple[int, int]]], list[list[int]
     # reversed: the last character of a block's slice is the edge top | 1
     reverse = c.colors[::-1]
     rest = [(1 << (hi - lo)) - 1 for _, _, lo, hi in blocks]
-    runs: list[list[tuple[int, int]]] = [[] for _ in range(r + 1)]
-    bases: list[list[int]] = [[] for _ in range(r + 1)]
+    runs: dict[int, list[tuple[int, int]]] = {col: [] for col in range(1, r + 1)}
+    bases: dict[int, list[int]] = {col: [] for col in runs}
     for col in range(1, r):
         bits = reverse.translate(b"0" * col + b"1" + b"0" * (255 - col))
         col_runs, col_bases = runs[col], bases[col]
@@ -429,8 +414,8 @@ def measure(c: Coloring, t: int, s: int) -> MeasureResult:
     _check_tsk(k, t, s)
     runs, bases = color_runs(c)
     best: tuple[int, int, list[int]] | None = None
-    for col in range(1, c.r + 1):
-        for comp, (cnt,) in component_shadows(runs[col], t, (s,), k):
+    for col, col_runs in runs.items():
+        for comp, (cnt,) in component_shadows(col_runs, t, (s,), k):
             if best is None or cnt > best[0]:
                 best = (cnt, col, comp)
     if best is None:

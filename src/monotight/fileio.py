@@ -127,8 +127,9 @@ def write_coloring(c: Coloring, fh: TextIO) -> None:
         body[1::2] = b"\n" * m
         fh.write(head + body.decode("ascii"))
         return
-    # a lookup per color is ~10x faster than formatting each one
-    lines = {col: f"{col}\n" for col in range(1, c.r + 1)}
+    # a lookup per color is ~10x faster than formatting each one; only the
+    # colors that occur get a line, so the cost does not grow with r
+    lines = {col: f"{col}\n" for col in set(c.colors)}
     fh.write(head + "".join(map(lines.__getitem__, c.colors)))
 
 

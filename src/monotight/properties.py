@@ -16,6 +16,7 @@ from .core import (
     Hypergraph,
     _component_indices,  # unused; perfbench/test_perfbench.py reads properties._component_indices
     _shadow_members,
+    _sub_masks,
     colex_edges,
     color_runs,
     component_shadows,
@@ -38,15 +39,36 @@ def random_hypergraph(n: int, k: int, rng: random.Random) -> Hypergraph:
             return Hypergraph(n, k, edges)
 
 
+def _counts_by_t(runs: list[tuple[int, int]], k: int) -> dict[int, list[tuple[int, ...]]]:
+    """For each t in 1..k-1, the (1..k)-shadow counts of every t-tight
+    component of the runs of k-edges, components ordered by first run index.
+
+    t descends from k-1. A t-tight component is also t'-tight connected for
+    every t' < t, and its shadows do not depend on t, so once the runs form a
+    single component its counts serve every smaller t unchanged.
+    """
+    ss = range(1, k + 1)
+    out: dict[int, list[tuple[int, ...]]] = {}
+    for t in range(k - 1, 0, -1):
+        counts = [cnt for _, cnt in component_shadows(runs, t, ss, k)]
+        if len(counts) == 1:
+            out.update((u, counts) for u in range(t, 0, -1))
+            break
+        out[t] = counts
+    return out
+
+
 def _max_shadow_by_ts(c: Coloring) -> dict[tuple[int, int], int]:
-    """measure(c, t, s).value for every valid (t, s), sharing component work."""
+    """measure(c, t, s).value for every valid (t, s), sharing component work:
+    one `_counts_by_t` per color, so a color class that is (k-1)-tight
+    connected takes one component pass for all t."""
     k = c.k
     ss = range(1, k + 1)
     out = {(t, s): 0 for t in range(1, k) for s in ss}
     by_color, _ = color_runs(c)
-    for runs in by_color[1:]:
-        for t in range(1, k):
-            for _, counts in component_shadows(runs, t, ss, k):
+    for runs in by_color.values():
+        for t, comps in _counts_by_t(runs, k).items():
+            for counts in comps:
                 for s, cnt in zip(ss, counts):
                     if cnt > out[(t, s)]:
                         out[(t, s)] = cnt
@@ -84,9 +106,11 @@ def verify_kk(trials: int = 500, seed: int = 0) -> dict:
         k = 3 if trial % 2 == 0 else 4
         n = rng.randint(k + 1, 10)
         g = random_hypergraph(n, k, rng)
+        # kk_shadow_bound(m, k, s) is binom_real(kk_root(m, k), s): one root per trial
+        x = bounds.kk_root(len(g.edges), k)
         for s in range(1, k + 1):
             actual = len(_shadow_members(g.edges, s, k))
-            bound = bounds.kk_shadow_bound(len(g.edges), k, s)
+            bound = bounds.binom_real(x, s)
             if actual < bound - SLACK:
                 violations.append({"n": n, "k": k, "s": s, "edges": len(g.edges), "actual": actual, "bound": bound})
     return {"suite": "kk", "trials": trials, "seed": seed, "violations": violations}
@@ -94,7 +118,11 @@ def verify_kk(trials: int = 500, seed: int = 0) -> dict:
 
 def verify_density(trials: int = 300, seed: int = 0) -> dict:
     """Random k-graphs of density delta: for every t some t-tight component
-    has s-shadow at least delta^(s/(k-t)) * C(n, s) for all s simultaneously."""
+    has s-shadow at least delta^(s/(k-t)) * C(n, s) for all s simultaneously.
+
+    The components come from one `_counts_by_t` per graph, which descends t
+    from k-1 and stops computing once the graph is one component;
+    violations are still reported in ascending t."""
     rng = random.Random(seed)
     violations = []
     for trial in range(trials):
@@ -103,28 +131,47 @@ def verify_density(trials: int = 300, seed: int = 0) -> dict:
         g = random_hypergraph(n, k, rng)
         delta = len(g.edges) / math.comb(n, k)
         ss = range(1, k + 1)
-        runs = edge_runs(g.edges)
+        by_t = _counts_by_t(edge_runs(g.edges), k)
         for t in range(1, k):
             need = [bounds.density_component_bound(n, k, t, s, delta) - SLACK for s in ss]
-            if not any(
-                all(cnt >= lo for cnt, lo in zip(counts, need))
-                for _, counts in component_shadows(runs, t, ss, k)
-            ):
+            if not any(all(cnt >= lo for cnt, lo in zip(counts, need)) for counts in by_t[t]):
                 violations.append({"n": n, "k": k, "t": t, "delta": delta})
     return {"suite": "density", "trials": trials, "seed": seed, "violations": violations}
 
 
 def _padded_intersection_violations(n: int, n0: int, k: int) -> tuple[int, list[dict]]:
     """Every pair of distinct edges e, f of K^k_n whose intersection is larger
-    than that of their padded index sets. Returns the number of pairs checked
-    and the violations."""
+    than that of their padded index sets. Returns the number of pairs checked,
+    C(C(n, k), 2), and the violations in colex order of (e, f).
+
+    A violating pair shares the j-set S = e & f with 1 <= j < k, and its
+    padded sets share fewer than j vertices. So for each such S the edges
+    through S are grouped by padded set, and only pairs of distinct padded
+    sets are compared; there are at most C(n0, k) of those, whatever n is.
+    A pair found through several S is reported once.
+    """
     edges = list(colex_edges(n, k))
     padded = [padded_index_set(e, n0, k) for e in edges]
-    violations = []
-    for i, (e, pe) in enumerate(zip(edges, padded)):
-        for f, pf in zip(edges[i + 1 :], padded[i + 1 :]):
-            if (e & f).bit_count() > (pe & pf).bit_count():
-                violations.append({"kind": "intersection", "n": n, "e": mask_to_vertices(e), "f": mask_to_vertices(f)})
+    through: dict[int, list[int]] = {}  # j-set S -> indices of the edges containing S
+    for i, e in enumerate(edges):
+        for j in range(1, k):
+            for sub in _sub_masks(e, j):
+                through.setdefault(sub, []).append(i)
+    flagged: set[tuple[int, int]] = set()
+    for sub, idxs in through.items():
+        j = sub.bit_count()
+        groups: dict[int, list[int]] = {}
+        for i in idxs:
+            groups.setdefault(padded[i], []).append(i)
+        parts = list(groups.items())
+        for pos, (pa, ia) in enumerate(parts):
+            for pb, ib in parts[pos + 1 :]:
+                if (pa & pb).bit_count() < j:
+                    flagged.update((min(x, y), max(x, y)) for x in ia for y in ib)
+    violations = [
+        {"kind": "intersection", "n": n, "e": mask_to_vertices(edges[a]), "f": mask_to_vertices(edges[b])}
+        for a, b in sorted(flagged)
+    ]
     return math.comb(len(edges), 2), violations
 
 
@@ -133,7 +180,10 @@ def verify_blowup(trials: int = 200, seed: int = 0) -> dict:
 
     (i) edge intersections never exceed the intersections of their padded
         part index sets. This depends only on n, not on the coloring, so it
-        is checked once per n over every pair of edges of K^3_n;
+        is checked once per n for every pair of edges of K^3_n: for each
+        j-set S (1 <= j < 3), the edges through S are grouped by padded set
+        and each pair of distinct groups is compared once
+        (`_padded_intersection_violations`);
     (ii) the measured value of the blow-up obeys the recursive bound
         sum_l ceil(n/(n0-k+1))^s * C(s-1, l-1) * M(n0, r, k, t, l; c0).
         Both sides come from one `_max_shadow_by_ts` pass per coloring.

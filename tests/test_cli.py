@@ -124,6 +124,17 @@ def test_broken_design_file_exits_2(tmp_path, capsys):
     assert code == 0 and rep["valid"] and rep["blocks"] == 7
 
 
+def test_design_file_named_like_an_affine_plane(tmp_path, monkeypatch, capsys):
+    # "ap" followed by digits only names AG(2, q); anything else is a file
+    monkeypatch.chdir(tmp_path)
+    code, _ = run(capsys, "design", "fano", "--out", "ap5.des")
+    assert code == 0
+    code, rep = run(capsys, "design", "ap5.des")
+    assert code == 0 and rep["valid"] and (rep["n"], rep["blocks"]) == (7, 7)
+    code, rep = run(capsys, "design", "ap5")
+    assert code == 0 and (rep["n"], rep["blocks"]) == (25, 30)
+
+
 def test_bad_file_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.hg"
     path.write_text("5 3\n1 2\n")

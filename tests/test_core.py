@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 import random
 from itertools import combinations
@@ -13,7 +14,6 @@ from monotight.core import (
     colex_edges,
     colex_rank,
     colex_unrank,
-    color_buckets,
     color_runs,
     component_shadows,
     edge_runs,
@@ -26,6 +26,7 @@ from monotight.core import (
     _shadow_members,
     _sub_masks,
 )
+from monotight import fileio
 from monotight.constructions import all_red, majority_coloring, parity_coloring
 from monotight.properties import _max_shadow_by_ts
 from monotight.search import random_coloring
@@ -239,10 +240,21 @@ class TestComponents:
                 assert counts == tuple(len(shadow(h, s)) for s in ss)
 
 
+def color_buckets(c):
+    """Edge masks and their colex ranks, one list per color, bucket i holding
+    color i and bucket 0 empty: the per-edge reference for `color_runs`."""
+    masks = [[] for _ in range(c.r + 1)]
+    ranks = [[] for _ in range(c.r + 1)]
+    for rank, (mask, col) in enumerate(zip(colex_edges(c.n, c.k), c.colors)):
+        masks[col].append(mask)
+        ranks[col].append(rank)
+    return masks, ranks
+
+
 class TestColorBuckets:
     def test_buckets_partition_the_edges_by_color(self):
         c = random_coloring(7, 3, 3, seed=5)
-        masks, ranks = color_buckets(c.colors, c.r, colex_edges(7, 3))
+        masks, ranks = color_buckets(c)
         all_edges = list(colex_edges(7, 3))
         assert masks[0] == [] and ranks[0] == []
         for col in range(1, 4):
@@ -253,18 +265,22 @@ class TestColorBuckets:
             assert list(c.color_class(col).edges) == []
 
     def test_expanded_runs_are_the_buckets(self):
-        for c in oracle_colorings():
-            runs, bases = color_runs(c)
-            masks, ranks = color_buckets(c.colors, c.r, colex_edges(c.n, c.k))
-            for col in range(c.r + 1):
-                expanded = [
-                    (top | (1 << j), base + j)
-                    for (top, low), base in zip(runs[col], bases[col])
-                    for j in range(low.bit_length())
-                    if low >> j & 1
-                ]
-                assert all(low and low < (top & -top) for top, low in runs[col])
-                assert expanded == list(zip(masks[col], ranks[col])), (c.n, c.k, c.r, col)
+        # up to 255 colors every color has an entry; above, only those that occur
+        for c0 in oracle_colorings():
+            for c in (c0, Coloring(c0.n, c0.k, 300, c0.colors)):
+                runs, bases = color_runs(c)
+                masks, ranks = color_buckets(c)
+                want = range(1, c.r + 1) if c.r <= 255 else sorted(set(c.colors))
+                assert list(runs) == list(bases) == list(want)
+                for col in range(c.r + 1):
+                    expanded = [
+                        (top | (1 << j), base + j)
+                        for (top, low), base in zip(runs.get(col, []), bases.get(col, []))
+                        for j in range(low.bit_length())
+                        if low >> j & 1
+                    ]
+                    assert all(low and low < (top & -top) for top, low in runs.get(col, []))
+                    assert expanded == list(zip(masks[col], ranks[col])), (c.n, c.k, c.r, col)
 
     @pytest.mark.parametrize("r", [2, 300])
     def test_colors_cannot_be_assigned(self, r):
@@ -440,6 +456,23 @@ class TestMeasure:
                     res = measure(wide, t, s)
                     got = (res.value, res.witness_color, res.witness_component)
                     assert got == naive_measure(c, t, s), (c.n, c.k, c.r, t, s)
+
+    def test_colors_that_never_occur_cost_nothing(self):
+        # a million colors of which four occur: measure and the file round
+        # trip visit only those four, and agree with the same coloring at r = 4
+        small = Coloring(4, 3, 4, [1, 2, 3, 4])
+        wide = Coloring(4, 3, 10**6, [1, 2, 3, 4])
+        for t in (1, 2):
+            for s in (1, 2, 3):
+                assert measure(wide, t, s) == measure(small, t, s)
+        assert wide.color_class(1).edges == small.color_class(1).edges == (0b111,)
+        files = []
+        for c in (small, wide):
+            buf = io.StringIO()
+            fileio.write_coloring(c, buf)
+            assert fileio.read_coloring(io.StringIO(buf.getvalue())) == c
+            files.append(buf.getvalue().split("\n", 1))
+        assert files[0][1] == files[1][1] == "1\n2\n3\n4\n"
 
     def test_all_red_spans(self):
         assert measure(all_red(5, 3, 2), 1, 1).value == 5
