@@ -1,5 +1,5 @@
 """Closed-form bounds, generalized binomials, root solvers, and the
-two-coloring min-max optimization.
+two-coloring min-max point.
 
 All bounds are returned as reals and never rounded; comparison layers are
 expected to apply their own slack.
@@ -15,8 +15,6 @@ from typing import Callable
 from .core import _check_tsk
 
 ROOT_TOL = 1e-12
-REFINE_ITERS = 120  # golden-section steps per refinement in optimize_2323
-_GOLD = (math.sqrt(5) - 1) / 2
 
 
 def binom_real(x: float, s: int) -> float:
@@ -118,22 +116,6 @@ def reference_bounds(n: int, r: int) -> dict[str, float]:
     }
 
 
-def _golden_min(fun: Callable[[float], float], a: float, b: float, iters: int) -> float:
-    c = b - _GOLD * (b - a)
-    d = a + _GOLD * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLD * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLD * (b - a)
-            fd = fun(d)
-    return (a + b) / 2
-
-
 def _bisect_root(fun: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
     """A root of fun in [lo, hi], halved down to width tol, or to adjacent
     floats when tol is below their spacing there."""
@@ -156,53 +138,27 @@ def _minmax_objective(x: float, y: float) -> float:
     return max(y**3 * x3, (1 - y) * x3, (1 - (1 - x) ** 3 - y * x3) / 2)
 
 
-@dataclass(frozen=True)
-class MinMaxResult:
-    x: float
-    y: float
-    value: float
-    grid_min: float
-    lower_certificate: float
+def _z_root() -> float:
+    """The root of (1 - z)^3 = z on (0, 1)."""
+    return _bisect_root(lambda z: (1 - z) ** 3 - z, 0.0, 1.0, 1e-14)
 
 
-def optimize_2323(grid_step: float = 0.005) -> MinMaxResult:
-    """Minimize max(y^3 x^3, (1-y) x^3, (1-(1-x)^3 - y x^3)/2) over
-    x in [0.5, 1], y in [0, 1].
+def optimize_2323() -> tuple[float, float, float]:
+    """The minimizer (x, y) and minimum of
+    max(y^3 x^3, (1-y) x^3, (1-(1-x)^3 - y x^3)/2) over x in [0.5, 1],
+    y in [0, 1], where all three branches are equal.
 
-    An exhaustive grid scan locates the basin and yields a Lipschitz lower
-    certificate (the objective is 6-Lipschitz on the box); nested
-    golden-section refinement (outer in x, inner in y; the objective is
-    unimodal in each) then sharpens the minimizer. The reported value is
-    always an attained objective value, hence an upper bound on the minimum.
+    The first two are equal when y^3 = 1 - y, so y = 1 - z with z the root
+    of (1 - z)^3 = z; the last two then reduce to z x^2 + 3x - 3 = 0. The
+    value is the objective at that point, so it is an attained value.
     """
-    if not 0 < grid_step <= 0.1:
-        raise ValueError("grid_step must lie in (0, 0.1]")
-    nx = int(round(0.5 / grid_step))
-    ny = int(round(1.0 / grid_step))
-    grid_min = math.inf
-    bx = by = 0.0
-    for i in range(nx + 1):
-        x = 0.5 + i * grid_step
-        for j in range(ny + 1):
-            y = j * grid_step
-            v = _minmax_objective(x, y)
-            if v < grid_min:
-                grid_min, bx, by = v, x, y
+    return _minmax_point(_z_root())
 
-    def inner_min(x: float) -> float:
-        y = _golden_min(lambda yy: _minmax_objective(x, yy), 0.0, 1.0, REFINE_ITERS)
-        return _minmax_objective(x, y)
 
-    x_star = _golden_min(
-        inner_min, max(0.5, bx - 2 * grid_step), min(1.0, bx + 2 * grid_step), REFINE_ITERS
-    )
-    y_star = _golden_min(lambda yy: _minmax_objective(x_star, yy), 0.0, 1.0, REFINE_ITERS)
-    value = _minmax_objective(x_star, y_star)
-    if value > grid_min:
-        x_star, y_star, value = bx, by, grid_min
-    # any box point is within grid_step/2 of a grid point in each coordinate
-    lower = grid_min - 6 * grid_step
-    return MinMaxResult(x=x_star, y=y_star, value=value, grid_min=grid_min, lower_certificate=lower)
+def _minmax_point(z: float) -> tuple[float, float, float]:
+    x = (math.sqrt(9 + 12 * z) - 3) / (2 * z)
+    y = 1 - z
+    return x, y, _minmax_objective(x, y)
 
 
 @dataclass(frozen=True)
@@ -226,14 +182,14 @@ def special_constants() -> SpecialConstants:
     if abs(x0_closed - x0_root) > 1e-12:
         raise AssertionError("closed form and bisection disagree on x0")
     lam = 6 * math.sqrt(21) - 27
-    z = _bisect_root(lambda z: (1 - z) ** 3 - z, 0.0, 1.0, 1e-14)
-    mm = optimize_2323()
+    z = _z_root()
+    x, y, value = _minmax_point(z)
     return SpecialConstants(
         x0=x0_closed,
         lambda_2313=lam,
         z_root=z,
-        minmax_2323=mm.value,
-        minmax_argmin=(mm.x, mm.y),
+        minmax_2323=value,
+        minmax_argmin=(x, y),
     )
 
 
@@ -257,14 +213,14 @@ _BOUND_KINDS = {
 def evaluate_bound(kind: str, **params) -> BoundReport:
     """Dispatch a named bound; returns a report with the evaluated value.
 
-    A bound whose value leaves the float range raises ValueError.
+    A missing or unused parameter, or a value that leaves the float range,
+    raises ValueError.
     """
     if kind not in _BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}")
     fun, names = _BOUND_KINDS[kind]
-    missing = [p for p in names if p not in params]
-    if missing:
-        raise ValueError(f"bound {kind!r} requires parameters {missing}")
+    if set(params) != set(names):
+        raise ValueError(f"bound {kind!r} takes parameters {list(names)}, got {list(params)}")
     args = {p: params[p] for p in names}
     extra: dict = {}
     try:

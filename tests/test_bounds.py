@@ -139,17 +139,79 @@ def test_special_constants_residuals():
     assert float(sc.lambda_target_2323) == 0.375
 
 
+# optimize_2323's value and minimizer as the grid-and-golden-section search
+# computed them before the closed form replaced it
+PINNED_MINMAX = 0.24092126589209284
+PINNED_ARGMIN = (0.9119379945687243, 0.6823278038280194)
+_GOLD = (math.sqrt(5) - 1) / 2
+
+
+def _branches(x, y):
+    x3 = x**3
+    return y**3 * x3, (1 - y) * x3, (1 - (1 - x) ** 3 - y * x3) / 2
+
+
+def _objective(x, y):
+    return max(_branches(x, y))
+
+
+def _golden_min(fun, a, b, iters=120):
+    c, d = b - _GOLD * (b - a), a + _GOLD * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(iters):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLD * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLD * (b - a)
+            fd = fun(d)
+    return (a + b) / 2
+
+
+def numeric_minmax(step):
+    """The min-max by search: the best point of a grid with this step over
+    x in [0.5, 1], y in [0, 1], then golden section in x around it with an
+    inner golden section in y (the objective is unimodal in each).
+
+    Returns the grid minimum and the refined (x, y, value)."""
+    grid_min, bx = min(
+        (_objective(0.5 + i * step, j * step), 0.5 + i * step)
+        for i in range(round(0.5 / step) + 1)
+        for j in range(round(1 / step) + 1)
+    )
+
+    def best_y(x):
+        return _golden_min(lambda y: _objective(x, y), 0.0, 1.0)
+
+    x = _golden_min(lambda x: _objective(x, best_y(x)), max(0.5, bx - 2 * step), min(1.0, bx + 2 * step))
+    y = best_y(x)
+    return grid_min, (x, y, _objective(x, y))
+
+
 def test_optimize_2323():
-    res = bounds.optimize_2323(grid_step=0.01)
-    assert res.value >= 0.24
-    assert res.value <= 0.33
-    # corner evaluation of the inner max
-    assert bounds._minmax_objective(1.0, 1.0) == pytest.approx(1.0)
-    half = bounds.optimize_2323(grid_step=0.005)
-    assert abs(res.value - half.value) < 1e-6
-    assert res.lower_certificate <= res.value
-    with pytest.raises(ValueError):
-        bounds.optimize_2323(grid_step=0.5)
+    x, y, value = bounds.optimize_2323()
+    assert abs(value - PINNED_MINMAX) <= 1e-12
+    assert abs(x - PINNED_ARGMIN[0]) <= 1e-12 and abs(y - PINNED_ARGMIN[1]) <= 1e-12
+    assert value == bounds._minmax_objective(x, y)
+    assert bounds._minmax_objective(1.0, 1.0) == pytest.approx(1.0)  # corner of the box
+    f1, f2, f3 = _branches(x, y)
+    assert abs(f1 - f2) <= 1e-12 and abs(f2 - f3) <= 1e-12
+    sc = bounds.special_constants()
+    assert (sc.minmax_argmin, sc.minmax_2323) == ((x, y), value)
+    assert y == 1 - sc.z_root
+
+
+def test_optimize_2323_against_numeric_search():
+    x, y, value = bounds.optimize_2323()
+    grid_min, (nx, ny, nvalue) = numeric_minmax(0.005)
+    assert value <= grid_min
+    assert abs(nx - x) <= 1e-9 and abs(ny - y) <= 1e-9
+    assert abs(nvalue - value) <= 1e-12
+    for dx in (-1e-6, 0, 1e-6):
+        for dy in (-1e-6, 0, 1e-6):
+            assert _objective(x + dx, y + dy) >= value
 
 
 def test_evaluate_bound_dispatch():

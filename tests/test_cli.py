@@ -182,6 +182,57 @@ def test_verify_nonpositive_trials_exits_2(capsys, trials):
     assert capsys.readouterr().out == ""
 
 
+# each argv gives flags its subcommand does not read; "@out" is a path in a
+# fresh directory that must stay unwritten
+REFUSED = {
+    "majority-k-r": (["construct", "majority", "--n", "6", "--k", "4", "--r", "5", "--out", "@out"], ["--k", "--r"]),
+    "parity-k": (["construct", "parity", "--n", "6", "--k", "3", "--out", "@out"], ["--k"]),
+    "two_clique-r": (["construct", "two_clique", "--n", "6", "--r", "2", "--out", "@out"], ["--r"]),
+    "all_red-t": (["construct", "all_red", "--n", "4", "--k", "3", "--r", "2", "--t", "2", "--out", "@out"], ["--t"]),
+    "majority-design": (["construct", "majority", "--n", "6", "--design", "fano", "--out", "@out"], ["--design"]),
+    "steiner-n": (["construct", "steiner", "--design", "fano", "--n", "7", "--out", "@out"], ["--n"]),
+    "steiner-tagged-order": (["construct", "steiner", "--design", "ap3", "--order", "given", "--out", "@out"], ["--order"]),
+    "design-order": (["design", "fano", "--order", "complement-paired", "--out", "@out"], ["--order"]),
+    "kk-n": (["verify", "kk", "--trials", "1", "--n", "5"], ["--n"]),
+    "lowerbound-t-s": (["verify", "lowerbound", "--trials", "1", "--seed", "2", "--t", "1", "--s", "2"], ["--t", "--s"]),
+    "density-k": (["verify", "density", "--k", "3"], ["--k"]),
+    "blowup-n-k-t-s": (["verify", "blowup", "--n", "5", "--k", "4", "--t", "1", "--s", "2"], ["--n", "--k", "--t", "--s"]),
+    "r2a-trials": (["verify", "r2a", "--trials", "3"], ["--trials"]),
+    "r2a-seed": (["verify", "r2a", "--n", "5", "--k", "4", "--t", "1", "--s", "2", "--seed", "0"], ["--seed"]),
+    "bound-n": (["bound", "--kind", "kk_shadow", "--m", "20", "--k", "3", "--s", "2", "--n", "9"], ["'n'"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_flag_that_does_nothing_exits_2(tmp_path, capsys, case):
+    argv, flags = REFUSED[case]
+    out = tmp_path / "out"
+    assert exit_code(*(str(out) if tok == "@out" else tok for tok in argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "internal" not in captured.err
+    assert all(flag in captured.err for flag in flags), captured.err
+    assert not out.exists()
+
+
+def test_verify_seed_defaults_to_zero(capsys):
+    # the argv the benchmark runs, and the same suite without --seed
+    code, rep = run(capsys, "verify", "kk", "--trials", "3", "--seed", "5")
+    assert (code, rep["seed"], rep["trials"]) == (0, 5, 3)
+    code, rep = run(capsys, "verify", "kk", "--trials", "3")
+    assert (code, rep["seed"], rep["trials"]) == (0, 0, 3)
+
+
+def test_large_affine_plane_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    assert exit_code("design", "ap100003") == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: q must be at most {designs.AFFINE_PLANE_MAX_Q}, got 100003\n"
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     assert exit_code("verify", "nosuch") == 2
     assert capsys.readouterr().out == ""
@@ -206,10 +257,11 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "h.txt").write_text("7 3\n1 2 3\n3 4 5\n5 6 7\n")
     for line in examples:
-        code = main(shlex.split(line, comments=True)[1:])
+        argv = shlex.split(line, comments=True)[1:]
+        code = main(argv)
         out = capsys.readouterr().out
         assert code == 0, line
-        assert isinstance(json.loads(out), dict), line
+        assert json.loads(out)["subcommand"] == argv[0], line
 
 
 def test_uncaught_exception_exits_3_with_one_stderr_line(monkeypatch, capsys):
@@ -349,15 +401,18 @@ def cli_argv(draw):
     argv = [name]
     if name in sub.choices:
         positional, flags = [], []
+        values = {}
         for action in sub.choices[name]._actions:
             if isinstance(action, argparse._HelpAction):
                 continue
             # required arguments are always given, and so are --budget and
-            # --trials: an unbudgeted search or a default-size suite runs for seconds
-            forced = action.required or action.dest in ("budget", "trials")
+            # --trials: an unbudgeted search or a default-size suite runs for
+            # seconds. r2a refuses --trials, and runs in milliseconds without it.
+            forced = action.required or action.dest == "budget"
+            forced |= action.dest == "trials" and values.get("suite") != "r2a"
             if not forced and not draw(st.booleans()):
                 continue
-            value = draw(_fuzz_values(action))
+            value = values[action.dest] = draw(_fuzz_values(action))
             if action.option_strings:
                 flags.append([action.option_strings[0], value])
             else:

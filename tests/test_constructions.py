@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -13,7 +14,14 @@ from monotight.constructions import (
     steiner_coloring,
     two_clique_coloring,
 )
-from monotight.core import colex_edges, colex_rank, measure, t_tight_components, vertices_to_mask
+from monotight.core import (
+    colex_edges,
+    colex_rank,
+    mask_to_vertices,
+    measure,
+    t_tight_components,
+    vertices_to_mask,
+)
 from monotight.designs import affine_plane, builtin_design, partition_blocks
 from monotight.search import random_coloring
 
@@ -216,6 +224,17 @@ def test_steiner_coloring_affine_plane():
                 verts |= h.edges[i]
             assert verts.bit_count() == 3
             assert len(comp) == 3
+
+
+def test_steiner_coloring_past_61_vertices():
+    # AG(2, 11) has 121 vertices; every pair takes the class of its one line
+    ap = affine_plane(11)
+    c = steiner_coloring(ap, ap.parallel_classes(), t=1)
+    expected = [0] * math.comb(121, 2)
+    for block, ci in zip(ap.blocks, ap.class_of):
+        for pair in combinations(mask_to_vertices(block), 2):
+            expected[colex_rank(pair, 121, 2)] = ci + 1
+    assert list(c.colors) == expected
 
 
 def test_steiner_coloring_components_are_block_cliques():

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import time
 from itertools import combinations
 
 import pytest
 
 from monotight.core import mask_to_vertices
 from monotight.designs import (
+    AFFINE_PLANE_MAX_Q,
     SteinerSystem,
     affine_plane,
     builtin_design,
@@ -34,6 +36,23 @@ def test_affine_plane_rejects_composite():
         affine_plane(4)
     with pytest.raises(ValueError):
         affine_plane(1)
+
+
+def test_affine_plane_past_61_vertices_builds_in_time():
+    # 961 vertices: the pair masks past vertex 61 must not share hashes
+    start = time.perf_counter()
+    d = affine_plane(31)
+    assert time.perf_counter() - start < 5.0
+    assert (d.n, len(d.blocks), len(d.parallel_classes())) == (961, 992, 32)
+
+
+@pytest.mark.parametrize("q", [AFFINE_PLANE_MAX_Q + 4, 100003])
+def test_affine_plane_refuses_order_above_cap(q):
+    # 41 and 100003 are prime; only the cap refuses them
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"at most {AFFINE_PLANE_MAX_Q}"):
+        affine_plane(q)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_fano_every_pair_once():
