@@ -146,15 +146,15 @@ class Hypergraph:
         _check_nk(self.n, self.k)
         edges = tuple(self.edges)
         full = (1 << self.n) - 1
-        seen = set()
         for e in edges:
             if e.bit_count() != self.k:
                 raise ValueError(f"edge {mask_to_vertices(e)} is not a {self.k}-set")
             if e & ~full:
                 raise ValueError(f"edge {mask_to_vertices(e)} leaves [1, {self.n}]")
-            if e in seen:
-                raise ValueError(f"duplicate edge {mask_to_vertices(e)}")
-            seen.add(e)
+        ordered = sorted(edges)  # not a set: int masks hash alike past vertex 61
+        for a, b in zip(ordered, ordered[1:]):
+            if a == b:
+                raise ValueError(f"duplicate edge {mask_to_vertices(a)}")
         object.__setattr__(self, "edges", edges)
 
     @classmethod
@@ -214,22 +214,22 @@ def edge_runs(masks: Iterable[int]) -> list[tuple[int, int]]:
 
 def _component_indices(
     runs: Sequence[tuple[int, int]], t: int
-) -> tuple[list[list[int]], list[list[int]]]:
+) -> tuple[list[list[int]], list[list[tuple[int, int]]]]:
     """Group runs into t-tight components; components sorted by first run index.
 
     The edges of a run share the k-1 >= t vertices of its top, so a run is
     t-tight connected. Two runs are adjacent exactly when they share a
-    t-set, that is when they give one key Q bits that meet (see the module
-    docstring). Per key, the bits seen so far form disjoint (bits, run)
+    t-set, that is when they give one (t-1)-set Q bits that meet (see the
+    module docstring). Per Q, the bits seen so far form disjoint (bits, run)
     classes, and a run merges every class its bits meet into one.
     Union-find keeps every root at the smallest run index, so parent[i] <= i
     and one ascending pass flattens the forest.
 
-    Returns the components and, aligned with them, each component's
-    distinct t-subsets (as masks): the t-shadow of the component.
+    Returns the components and, aligned with them, each component's t-shadow
+    as its (Q, bits) classes: runs of t-sets, no t-set in two of them.
     """
     parent = list(range(len(runs)))
-    classes: dict[int, list[tuple[int, int]]] = {}  # key Q -> disjoint (bits, run)
+    classes: dict[int, list[tuple[int, int]]] = {}  # Q -> disjoint (bits, run)
     get = classes.get
     for idx, (top, low) in enumerate(runs):
         root = idx
@@ -262,15 +262,11 @@ def _component_indices(
             groups[idx] = [idx]
         else:
             groups[root].append(idx)
-    keys: dict[int, list[int]] = {root: [] for root in groups}
+    t_runs: dict[int, list[tuple[int, int]]] = {root: [] for root in groups}
     for key, kept in classes.items():
         for bits, idx in kept:
-            out = keys[parent[idx]]
-            while bits:
-                low = bits & -bits
-                out.append(key | low)
-                bits ^= low
-    return list(groups.values()), list(keys.values())
+            t_runs[parent[idx]].append((key, bits))
+    return list(groups.values()), list(t_runs.values())
 
 
 def t_tight_components(h: Hypergraph, t: int) -> list[list[int]]:
@@ -281,21 +277,32 @@ def t_tight_components(h: Hypergraph, t: int) -> list[list[int]]:
     return _component_indices(edge_runs(h.edges), t)[0]
 
 
-def _shadow_members(masks: Iterable[int], s: int, k: int) -> set[int]:
-    members: set[int] = set()
-    if s == k:
-        members.update(masks)
-        return members
-    for mask in masks:
-        members.update(_sub_masks(mask, s))
-    return members
+def _shadow_members(runs: Iterable[tuple[int, int]], s: int) -> dict[int, int]:
+    """The s-shadow of the runs' edges as (Q, bits) pairs, the s-sets Q | y for
+    each bit y of bits (see the module docstring); no s-set occurs twice."""
+    shade: dict[int, int] = {}
+    get = shade.get
+    for top, low in runs:
+        for key in _sub_masks(top, s - 1):
+            shade[key] = get(key, 0) | low | (top & ((key & -key) - 1))
+    return shade
 
 
 def shadow(h: Hypergraph, s: int) -> set[int]:
     """The s-shadow of h: the s-subsets of {1..n} in at least one edge, as masks."""
     if not 1 <= s <= h.k:
         raise ValueError(f"need 1 <= s <= k, got s={s}, k={h.k}")
-    return _shadow_members(h.edges, s, h.k)
+    runs: dict[int, int] = {}  # the edges as runs, one per top
+    for e in h.edges:
+        top = e & (e - 1)
+        runs[top] = runs.get(top, 0) | (e ^ top)
+    members = set()
+    for key, bits in _shadow_members(runs.items(), s).items():
+        while bits:
+            low = bits & -bits
+            members.add(key | low)
+            bits ^= low
+    return members
 
 
 def _stored_colors(colors: Sequence[int], r: int) -> bytes | tuple[int, ...]:
@@ -379,27 +386,18 @@ def component_shadows(
     """
     if not runs:
         return
-    # An s-subset of an edge with s <= t lies in one of its t-subsets, so
-    # for s <= t the shadow comes from the component's t-subset keys.
-    comps, comp_keys = _component_indices(runs, t)
-    for comp, keys in zip(comps, comp_keys):
+    # An s-subset of an edge with s <= t lies in one of its t-subsets, so for
+    # s <= t the shadow comes from the component's runs of t-sets.
+    comps, comp_t_runs = _component_indices(runs, t)
+    for comp, t_runs in zip(comps, comp_t_runs):
+        own = [runs[i] for i in comp]
         counts = []
         for s in ss:
-            if s == k:
-                counts.append(sum(runs[i][1].bit_count() for i in comp))
-            elif s == t:
-                counts.append(len(keys))
-            elif s < t:
-                counts.append(len(_shadow_members(keys, s, t)))
+            use, size = (t_runs, t) if s <= t else (own, k)
+            if s == size:
+                counts.append(sum(low.bit_count() for _, low in use))
             else:
-                # the (Q, bits) pairs of the s-sets, OR-ed per Q over the runs
-                shade: dict[int, int] = {}
-                get = shade.get
-                for i in comp:
-                    top, low = runs[i]
-                    for key in _sub_masks(top, s - 1):
-                        shade[key] = get(key, 0) | low | (top & ((key & -key) - 1))
-                counts.append(sum(bits.bit_count() for bits in shade.values()))
+                counts.append(sum(bits.bit_count() for bits in _shadow_members(use, s).values()))
         yield comp, tuple(counts)
 
 

@@ -108,8 +108,9 @@ def verify_kk(trials: int = 500, seed: int = 0) -> dict:
         g = random_hypergraph(n, k, rng)
         # kk_shadow_bound(m, k, s) is binom_real(kk_root(m, k), s): one root per trial
         x = bounds.kk_root(len(g.edges), k)
+        runs = edge_runs(g.edges)
         for s in range(1, k + 1):
-            actual = len(_shadow_members(g.edges, s, k))
+            actual = sum(bits.bit_count() for bits in _shadow_members(runs, s).values())
             bound = bounds.binom_real(x, s)
             if actual < bound - SLACK:
                 violations.append({"n": n, "k": k, "s": s, "edges": len(g.edges), "actual": actual, "bound": bound})

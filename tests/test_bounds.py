@@ -4,7 +4,7 @@ import random
 import pytest
 
 from monotight import bounds
-from monotight.core import _shadow_members, colex_edges
+from monotight.core import colex_edges, shadow
 from monotight.properties import random_hypergraph
 
 
@@ -65,7 +65,7 @@ def test_kk_shadow_bound_dominated_by_real_shadows():
         n = rng.randint(4, 10)
         g = random_hypergraph(n, 3, rng)
         for s in (1, 2, 3):
-            actual = len(_shadow_members(g.edges, s, 3))
+            actual = len(shadow(g, s))
             assert actual >= bounds.kk_shadow_bound(len(g.edges), 3, s) - 1e-9
 
 

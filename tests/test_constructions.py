@@ -19,6 +19,7 @@ from monotight.core import (
     colex_rank,
     mask_to_vertices,
     measure,
+    shadow,
     t_tight_components,
     vertices_to_mask,
 )
@@ -86,9 +87,7 @@ def test_majority_single_components_per_color():
             h = c.color_class(col)
             assert len(t_tight_components(h, 1)) == 1
             assert len(t_tight_components(h, 2)) == 1
-            from monotight.core import _shadow_members
-
-            pair_union |= _shadow_members(h.edges, 2, 3)
+            pair_union |= shadow(h, 2)
         assert len(pair_union) == math.comb(n, 2)
 
 

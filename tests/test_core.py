@@ -139,6 +139,14 @@ class TestHypergraph:
         with pytest.raises(ValueError):
             Hypergraph.from_vertex_lists(5, 3, [[1, 2, 3], [3, 2, 1]])
 
+    def test_duplicate_past_vertex_61_is_refused(self):
+        # an int hashes as itself mod 2^61 - 1, so the masks of {62, 63, 64}
+        # and {1, 2, 3} hash alike; neither is taken for the other
+        edges = [[62, 63, 64], [1, 2, 3], [70, 5, 80], [2, 63, 79]]
+        assert len(Hypergraph.from_vertex_lists(80, 3, edges)) == 4
+        with pytest.raises(ValueError, match=r"duplicate edge \(5, 70, 80\)"):
+            Hypergraph.from_vertex_lists(80, 3, edges + [[80, 70, 5]])
+
     def test_complete(self):
         assert len(Hypergraph.complete(6, 3)) == 20
 
@@ -230,14 +238,28 @@ class TestComponents:
             ss = range(1, k + 1)
             runs = edge_runs(edges)
             got = list(component_shadows(runs, t, ss, k))
-            comps, keys = _component_indices(runs, t)
+            comps, t_runs = _component_indices(runs, t)
             assert [comp for comp, _ in got] == comps
-            for comp, comp_keys in zip(comps, keys):
-                assert len(comp_keys) == len(set(comp_keys))
-                assert set(comp_keys) == shadow(Hypergraph(n, k, [edges[i] for i in comp]), t)
+            for comp, comp_t_runs in zip(comps, t_runs):
+                # each t-set of the component once: the popcounts add up to the set
+                t_sets = {key | 1 << (v - 1) for key, bits in comp_t_runs for v in mask_to_vertices(bits)}
+                assert sum(bits.bit_count() for _, bits in comp_t_runs) == len(t_sets)
+                assert t_sets == shadow_members(Hypergraph(n, k, [edges[i] for i in comp]).edges, t, k)
             for comp, counts in got:
                 h = Hypergraph(n, k, [edges[i] for i in comp])
                 assert counts == tuple(len(shadow(h, s)) for s in ss)
+
+
+def shadow_members(masks, s, k):
+    """The s-subsets of the k-sets `masks`, as a set of masks: the per-edge
+    reference for the (Q, bits) kernel `_shadow_members` and for `shadow`."""
+    members = set()
+    if s == k:
+        members.update(masks)
+        return members
+    for mask in masks:
+        members.update(_sub_masks(mask, s))
+    return members
 
 
 def color_buckets(c):
@@ -405,6 +427,25 @@ class TestShadow:
         with pytest.raises(ValueError, match="need 1 <= s <= k, got s=4, k=3"):
             shadow(Hypergraph(5, 3, []), 4)
 
+    @pytest.mark.parametrize("n_max, k", [(10, 3), (10, 4), (80, 3)])
+    def test_kernel_and_shadow_match_the_set_oracle(self, n_max, k):
+        # random k-graphs on n <= 10, and random 3-sets of {1..80}, whose
+        # masks reach past bit 61, where int masks hash alike
+        rng = random.Random(41 + n_max + k)
+        for _ in range(40):
+            if n_max <= 10:
+                n = rng.randint(k + 1, n_max)
+                edges = [e for e in colex_edges(n, k) if rng.random() < rng.random()]
+            else:
+                n = n_max
+                edges = list({vertices_to_mask(rng.sample(range(1, n + 1), k)) for _ in range(rng.randint(1, 300))})
+            h = Hypergraph(n, k, edges)
+            for s in range(1, k + 1):
+                want = shadow_members(edges, s, k)
+                pairs = _shadow_members(edge_runs(edges), s)
+                assert sum(bits.bit_count() for bits in pairs.values()) == len(want)
+                assert shadow(h, s) == want
+
     def test_nesting(self):
         # E^(s) is the union of s-subsets of E^(s') for s <= s'
         rng = random.Random(3)
@@ -413,10 +454,11 @@ class TestShadow:
             edges = [e for e in colex_edges(n, 4) if rng.random() < 0.3]
             if not edges:
                 continue
+            h = Hypergraph(n, 4, edges)
             for s, s2 in [(1, 2), (2, 3), (1, 3), (3, 4)]:
-                upper = _shadow_members(edges, s2, 4)
-                expanded = _shadow_members(list(upper), s, s2)
-                assert _shadow_members(edges, s, 4) == expanded
+                upper = shadow(h, s2)
+                expanded = shadow(Hypergraph(n, s2, upper), s)
+                assert shadow(h, s) == expanded
                 assert len(upper) <= math.comb(n, s2)
 
 
@@ -494,7 +536,7 @@ class TestMeasure:
         res = measure(c, 1, 2)
         masks = list(colex_edges(7, 3))
         comp = [masks[i] for i in res.witness_component]
-        assert len(_shadow_members(comp, 2, 3)) == res.value
+        assert len(shadow(Hypergraph(7, 3, comp), 2)) == res.value
 
     def test_unused_color_never_selected(self):
         c = Coloring(5, 3, 3, [1] * math.comb(5, 3))
