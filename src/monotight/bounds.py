@@ -55,7 +55,11 @@ def general_lower_bound(n: int, r: int, k: int, t: int, s: int) -> float:
     _check_tsk(k, t, s)
     if r < 1:
         raise ValueError("r must be at least 1")
-    return r ** (-s / (k - t)) * math.comb(n, s)
+    try:
+        scale = r ** (-s / (k - t))
+    except OverflowError:  # r does not fit a float; the power still does
+        scale = math.exp(-s / (k - t) * math.log(r))
+    return scale * math.comb(n, s)
 
 
 def density_component_bound(n: int, k: int, t: int, s: int, delta: float) -> float:

@@ -187,7 +187,7 @@ def _cmd_search(args) -> dict:
         "seconds": res.wall_time,
         "lower_bound": bounds.general_lower_bound(args.n, args.r, args.k, args.t, args.s),
     }
-    if args.k == 3 and (args.t, args.s) == (2, 3):
+    if res.status == "exact" and args.k == 3 and (args.t, args.s) == (2, 3):
         report["note"] = "exact value is new data for these parameters, not a published one"
     if args.emit_witness:
         with open(args.emit_witness, "w") as fh:

@@ -1,12 +1,19 @@
 """Explicit colorings: constant, majority, two-clique, parity, blow-up, and
-design-induced colorings. Majority, parity and two-clique are one count
-table over a vertex split each (`_two_part_coloring`).
+design-induced colorings.
+
+Majority, parity, two-clique and every blow-up are partition rules: an
+edge's color depends only on how many of its vertices lie in each part of
+a vertex partition. One kernel, `_partition_coloring`, writes any such rule
+one colex block at a time. Majority, parity and two-clique split the
+vertices into {1..a} and the rest (`_two_part_coloring`); a blow-up splits
+them round-robin and colors by the base edge of the parts an edge touches.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
+from typing import Callable, Sequence
 
 from .core import Coloring, _sub_masks, colex_edges, mask_to_vertices
 from .designs import SteinerSystem
@@ -17,24 +24,66 @@ def all_red(n: int, k: int, r: int) -> Coloring:
     return Coloring(n, k, r, [1] * math.comb(n, k))
 
 
-def _two_part_coloring(n: int, a: int, by_count: tuple[int, ...]) -> Coloring:
-    """k=3, r=2: edge e gets color by_count[|e ∩ {1..a}|].
+def _partition_coloring(
+    n: int, k: int, r: int, part: Sequence[int], rule: Callable[[int], int]
+) -> Coloring:
+    """The r-coloring of K^k_n that gives edge e the color rule(e).
 
-    As in `core.color_runs`, for each 2-set top the edges top | x with
-    x < min(top) are consecutive in colex order, x ascending, so the block
-    is min(size, a) edges with count c + 1, then the rest with count c.
+    part[v-1] is vertex v's part, a nonnegative int, and rule(e) must depend
+    only on how many vertices e has in each part. As in `core.color_runs`,
+    for each (k-1)-set top the edges top | x with x < min(top) are
+    consecutive in colex order, x ascending, and their colors are a part ->
+    color table applied to part[:min(top)-1]: one `bytes.translate` per
+    block, or a `map` when the parts or colors do not fit a byte. A table
+    depends only on top's counts, whose key sums k^part over top (each count
+    is below k). It is cached by that key and filled, one rule call per part,
+    only for the parts that the vertices below min(top) reach.
     """
+    firsts: dict[int, int] = {}  # part -> its lowest vertex, in that vertex's order
+    seen = [0]  # seen[i]: the number of parts among vertices 1..i
+    for v, p in enumerate(part, 1):
+        firsts.setdefault(p, v)
+        seen.append(len(firsts))
+    reps = list(firsts.items())
+    # keys of the (k-1)-sets in colex order: the j-sets with top vertex m are
+    # the first C(m-1, j-1) (j-1)-sets, each plus m
+    weights = [k**p for p in part]
+    keys = weights
+    for j in range(2, k):
+        keys = [
+            key
+            for m in range(j, n + 1)
+            for key in map(weights[m - 1].__add__, keys[: math.comb(m - 1, j - 1)])
+        ]
+    if r <= 255 and max(part) <= 255:
+        part, colors, blank = bytes(part), bytearray(), bytearray(256).copy
+        expand = bytes.translate
+    else:
+        colors, blank = [], ([0] * (max(part) + 1)).copy
+        expand = lambda block, table: map(table.__getitem__, block)  # noqa: E731
+    tables: dict[int, list] = {}  # key -> [part -> color table, parts filled]
+    for top, key in zip(colex_edges(n, k - 1), keys):
+        size = (top & -top).bit_length() - 1
+        entry = tables.get(key)
+        if entry is None:
+            entry = tables[key] = [blank(), 0]
+        table, done = entry
+        if seen[size] > done:
+            for p, v in reps[done : seen[size]]:
+                table[p] = rule(top | 1 << (v - 1))
+            entry[1] = seen[size]
+        colors += expand(part[:size], table)
+    return Coloring(n, k, r, colors)
+
+
+def _two_part_coloring(n: int, a: int, by_count: tuple[int, ...]) -> Coloring:
+    """k=3, r=2: edge e gets color by_count[|e ∩ {1..a}|]."""
     if n < 3:
         raise ValueError("n must be at least 3")
-    table = bytes(by_count)
-    part = (1 << a) - 1
-    colors = bytearray()
-    for top in colex_edges(n, 2):
-        size = (top & -top).bit_length() - 1
-        inside = min(size, a)
-        c = (top & part).bit_count()
-        colors += table[c + 1 : c + 2] * inside + table[c : c + 1] * (size - inside)
-    return Coloring(n, 3, 2, colors)
+    inside = (1 << a) - 1
+    return _partition_coloring(
+        n, 3, 2, [0] * a + [1] * (n - a), lambda e: by_count[(e & inside).bit_count()]
+    )
 
 
 def majority_coloring(n: int) -> Coloring:
@@ -68,8 +117,10 @@ def blow_up(c0: Coloring, n: int) -> Coloring:
     if n == n0:
         return c0
     base = dict(zip(colex_edges(n0, k), c0.colors))
-    colors = [base[padded_index_set(e, n0, k)] for e in colex_edges(n, k)]
-    return Coloring(n, k, c0.r, colors)
+    num_parts = n0 - k + 1
+    return _partition_coloring(
+        n, k, c0.r, [v % num_parts for v in range(n)], lambda e: base[padded_index_set(e, n0, k)]
+    )
 
 
 def padded_index_set(e: int, n0: int, k: int) -> int:

@@ -75,6 +75,17 @@ def test_general_lower_bound_values():
     assert bounds.general_lower_bound(8, 7, 3, 1, 1) == pytest.approx(8 / math.sqrt(7))
 
 
+def test_general_lower_bound_past_float_range_of_r():
+    # r = 10^400 does not fit a float; the bound is 4 * 10^-200, which does
+    value = bounds.general_lower_bound(4, 10**400, 3, 1, 1)
+    assert value == pytest.approx(4e-200)
+    assert bounds.evaluate_bound("general_lower", n=4, r=10**400, k=3, t=1, s=1).value == value
+    # where r fits a float the value is the plain power, bit for bit
+    for r in (1, 2, 3, 7, 10**6):
+        for k, t, s in ((3, 1, 1), (3, 2, 3), (4, 1, 3), (4, 3, 2)):
+            assert bounds.general_lower_bound(9, r, k, t, s) == r ** (-s / (k - t)) * math.comb(9, s)
+
+
 def test_density_component_bound_endpoints():
     assert bounds.density_component_bound(8, 3, 1, 2, 1.0) == math.comb(8, 2)
     assert bounds.density_component_bound(8, 3, 1, 2, 0.0) == 0

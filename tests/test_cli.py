@@ -86,6 +86,21 @@ def test_search_labels_novel_parameters(capsys):
     code, rep = run(capsys, "search", "--n", "4", "--r", "2", "--k", "3", "--t", "2", "--s", "3")
     assert code == 0
     assert "note" in rep
+    # a budgeted run's value is only an upper bound (18 here; M is 17), not new data
+    argv = ["search", "--n", "7", "--r", "2", "--k", "3", "--t", "2", "--s", "3", "--budget", "10"]
+    code, rep = run(capsys, *argv)
+    assert code == 0
+    assert rep["status"] == "budget-exhausted"
+    assert "note" not in rep
+
+
+def test_search_with_r_past_float_range(capsys):
+    # r = 10^400 does not fit a float, but the bound r^(-1/2) * C(4, 1) = 4e-200 does
+    code, rep = run(capsys, "search", "--n", "4", "--r", str(10**400), "--k", "3", "--t", "1", "--s", "1")
+    assert code == 0
+    assert (rep["value"], rep["status"]) == (3, "exact")
+    assert math.isfinite(rep["lower_bound"])
+    assert rep["lower_bound"] == pytest.approx(4e-200)
 
 
 def test_blowup_roundtrip(tmp_path, capsys):

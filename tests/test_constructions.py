@@ -6,6 +6,7 @@ import pytest
 
 from monotight import bounds, properties
 from monotight.constructions import (
+    _partition_coloring,
     all_red,
     blow_up,
     majority_coloring,
@@ -158,12 +159,41 @@ def test_blow_up_intersection_invariant():
 
 @pytest.mark.parametrize("k, n0, n", PADDED_CASES)
 def test_blow_up_matches_per_edge_rank_oracle(k, n0, n):
-    for r in (2, 3):
+    for r in (2, 3, 300):  # above 255 colors the colors are a tuple, not bytes
         c0 = random_coloring(n0, r, k, seed=1000 * k + 10 * n + r)
         want = [c0.colors[colex_rank(padded_index_set(e, n0, k), n0, k)] for e in colex_edges(n, k)]
         c = blow_up(c0, n)
         assert (c.n, c.k, c.r) == (n, k, r)
         assert list(c.colors) == want
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_partition_coloring_matches_its_rule(k):
+    # p shuffled (not interval) parts plus one label no vertex takes, and a
+    # random counts -> color table; labels from 299 up do not fit a byte
+    rng = random.Random(k)
+    for p in (1, 2, 3, 4):
+        for r in (3, 300):
+            for offset in (0, 299):
+                for n in range(max(k, p), 13):
+                    labels = [offset + i for i in range(p + 1)]
+                    labels.remove(rng.choice(labels))
+                    part = [labels[v % p] for v in range(n)]
+                    rng.shuffle(part)
+                    masks = [
+                        vertices_to_mask(v for v in range(1, n + 1) if part[v - 1] == label)
+                        for label in labels
+                    ]
+                    table = {}
+
+                    def rule(e):
+                        counts = tuple((e & m).bit_count() for m in masks)
+                        return table.setdefault(counts, rng.randint(1, r))
+
+                    want = list(map(rule, colex_edges(n, k)))
+                    c = _partition_coloring(n, k, r, part, rule)
+                    assert (c.n, c.k, c.r) == (n, k, r)
+                    assert list(c.colors) == want, (k, p, r, offset, n)
 
 
 def test_verify_blowup_reports_a_broken_padded_map(monkeypatch):
