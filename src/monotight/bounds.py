@@ -8,8 +8,6 @@ expected to apply their own slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 from .core import _check_tsk
@@ -165,18 +163,8 @@ def _minmax_point(z: float) -> tuple[float, float, float]:
     return x, y, _minmax_objective(x, y)
 
 
-@dataclass(frozen=True)
-class SpecialConstants:
-    x0: float
-    lambda_2313: float
-    z_root: float
-    minmax_2323: float
-    minmax_argmin: tuple[float, float]
-    lambda_target_2323: Fraction = field(default=Fraction(3, 8))
-
-
-def special_constants() -> SpecialConstants:
-    """Constants of the two-coloring analysis.
+def special_constants() -> dict:
+    """Constants of the two-coloring analysis, as the CLI prints them.
 
     x0 is computed both in closed form, (sqrt(21)-3)/2, and as the root of
     2x^3 + (1-x)^3 = 1 on (1/2, 1); the two must agree to 1e-12.
@@ -188,20 +176,14 @@ def special_constants() -> SpecialConstants:
     lam = 6 * math.sqrt(21) - 27
     z = _z_root()
     x, y, value = _minmax_point(z)
-    return SpecialConstants(
-        x0=x0_closed,
-        lambda_2313=lam,
-        z_root=z,
-        minmax_2323=value,
-        minmax_argmin=(x, y),
-    )
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    kind: str
-    params: dict
-    value: float
+    return {
+        "x0": x0_closed,
+        "lambda_2313": lam,
+        "z_root": z,
+        "minmax_2323": value,
+        "minmax_argmin": [x, y],
+        "lambda_target_2323": "3/8",
+    }
 
 
 _BOUND_KINDS = {
@@ -214,8 +196,8 @@ _BOUND_KINDS = {
 }
 
 
-def evaluate_bound(kind: str, **params) -> BoundReport:
-    """Dispatch a named bound; returns a report with the evaluated value.
+def evaluate_bound(kind: str, **params) -> dict:
+    """Dispatch a named bound; returns its kind, params and evaluated value.
 
     A missing or unused parameter, or a value that leaves the float range,
     raises ValueError.
@@ -240,4 +222,4 @@ def evaluate_bound(kind: str, **params) -> BoundReport:
         value = math.inf
     if not math.isfinite(value):
         raise ValueError(f"bound {kind!r} is out of float range")
-    return BoundReport(kind=kind, params={**args, **extra}, value=value)
+    return {"kind": kind, "params": {**args, **extra}, "value": value}

@@ -79,20 +79,11 @@ def _cmd_bound(args) -> dict:
         val = getattr(args, name)
         if val is not None:
             params[name] = val
-    report = bounds.evaluate_bound(args.kind, **params)
-    return {"kind": report.kind, "params": report.params, "value": report.value}
+    return bounds.evaluate_bound(args.kind, **params)
 
 
 def _cmd_constants(args) -> dict:
-    consts = bounds.special_constants()
-    return {
-        "x0": consts.x0,
-        "lambda_2313": consts.lambda_2313,
-        "z_root": consts.z_root,
-        "minmax_2323": consts.minmax_2323,
-        "minmax_argmin": list(consts.minmax_argmin),
-        "lambda_target_2323": str(consts.lambda_target_2323),
-    }
+    return bounds.special_constants()
 
 
 _TWO_PART = {

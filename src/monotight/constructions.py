@@ -15,7 +15,7 @@ import math
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .core import Coloring, _sub_masks, colex_edges, mask_to_vertices
+from .core import Coloring, colex_edges, mask_to_vertices
 from .designs import SteinerSystem
 
 
@@ -139,6 +139,8 @@ def steiner_coloring(system: SteinerSystem, classes: list[list[int]], t: int = 1
     """Color each k-set of {1..n} by the index of the class containing its
     unique block. Classes must partition the blocks, and blocks within a
     class must pairwise intersect in at most t-1 vertices."""
+    if not 1 <= t <= system.k:
+        raise ValueError(f"need 1 <= t <= k, got t={t}, k={system.k}")
     seen = sorted(i for cls in classes for i in cls)
     if seen != list(range(len(system.blocks))):
         raise ValueError("classes must partition the block list")
@@ -154,10 +156,5 @@ def steiner_coloring(system: SteinerSystem, classes: list[list[int]], t: int = 1
         for b in cls:
             class_of_block[b] = ci + 1
     n, k = system.n, system.k
-    width = (n + 7) // 8  # bytes keys, as in SteinerSystem: int masks past 61 vertices collide
-    block_of_kset: dict[bytes, int] = {}
-    for bi, block in enumerate(system.blocks):
-        for sub in _sub_masks(block, k):
-            block_of_kset[sub.to_bytes(width, "little")] = bi
-    colors = [class_of_block[block_of_kset[e.to_bytes(width, "little")]] for e in colex_edges(n, k)]
+    colors = [class_of_block[system.block_of(e)] for e in colex_edges(n, k)]
     return Coloring(n, k, len(classes), colors)

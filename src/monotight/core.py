@@ -12,7 +12,7 @@ Components and shadows are computed on runs, not on single edges. For a
 sit at consecutive colex ranks. A run (top, low) is a nonempty set of
 them, with `low` the mask of their x; its edges pairwise share the k-1
 vertices of top. A coloring of K^k_n has about C(n, k-1) runs per color
-(`color_runs`); a plain edge list is one run per edge (`edge_runs`).
+(`color_runs`); a plain edge list has one run per top (`edge_runs`).
 
 Write a j-set as its lowest vertex and the rest Q. A j-set of the edge
 top | x either holds x, its lowest vertex, and a (j-1)-subset Q of top, or
@@ -208,8 +208,13 @@ class MeasureResult:
 
 
 def edge_runs(masks: Iterable[int]) -> list[tuple[int, int]]:
-    """One run per edge mask, in the given order, so run indices are edge indices."""
-    return [(e & (e - 1), e & -e) for e in masks]
+    """The edge masks as runs, one per top, in the order of each top's first edge."""
+    runs: dict[int, int] = {}
+    get = runs.get
+    for e in masks:
+        top = e & (e - 1)
+        runs[top] = get(top, 0) | (e ^ top)
+    return list(runs.items())
 
 
 def _component_indices(
@@ -271,10 +276,23 @@ def _component_indices(
 
 def t_tight_components(h: Hypergraph, t: int) -> list[list[int]]:
     """The t-tight components of h, the transitive closure of |e ∩ f| >= t,
-    as lists of indices into h.edges, each ascending and ordered by first index."""
+    as lists of indices into h.edges, each ascending and ordered by first index.
+    They are found on h's runs and mapped back by top; runs are numbered by
+    their first edge, so the order of the components carries over."""
     if not 1 <= t <= h.k - 1:
         raise ValueError(f"need 1 <= t <= k-1, got t={t}, k={h.k}")
-    return _component_indices(edge_runs(h.edges), t)[0]
+    runs = edge_runs(h.edges)
+    found = _component_indices(runs, t)[0]
+    if len(found) == 1:  # a connected h needs no map back
+        return [list(range(len(h.edges)))]
+    comps: list[list[int]] = []
+    comp_of: dict[int, list[int]] = {}  # top -> its component's edge indices
+    for comp in found:
+        comps.append([])
+        comp_of.update((runs[i][0], comps[-1]) for i in comp)
+    for idx, e in enumerate(h.edges):
+        comp_of[e & (e - 1)].append(idx)
+    return comps
 
 
 def _shadow_members(runs: Iterable[tuple[int, int]], s: int) -> dict[int, int]:
@@ -292,12 +310,8 @@ def shadow(h: Hypergraph, s: int) -> set[int]:
     """The s-shadow of h: the s-subsets of {1..n} in at least one edge, as masks."""
     if not 1 <= s <= h.k:
         raise ValueError(f"need 1 <= s <= k, got s={s}, k={h.k}")
-    runs: dict[int, int] = {}  # the edges as runs, one per top
-    for e in h.edges:
-        top = e & (e - 1)
-        runs[top] = runs.get(top, 0) | (e ^ top)
     members = set()
-    for key, bits in _shadow_members(runs.items(), s).items():
+    for key, bits in _shadow_members(edge_runs(h.edges), s).items():
         while bits:
             low = bits & -bits
             members.add(key | low)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .core import _sub_masks, mask_to_vertices, vertices_to_mask
@@ -26,7 +26,8 @@ class SteinerSystem:
 
     class_of, when present, tags each block with a parallel class index.
     The coverage is checked once, here, exhaustively, and the blocks and
-    tags are stored immutable as tuples.
+    tags are stored immutable as tuples. The check keeps which block covers
+    each k-set, for `block_of`.
     """
 
     n: int
@@ -34,6 +35,7 @@ class SteinerSystem:
     k: int
     blocks: Sequence[int]
     class_of: Sequence[int] | None = None
+    _covered: dict[bytes, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.n > self.h >= self.k:
@@ -60,11 +62,16 @@ class SteinerSystem:
         if len(covered) != math.comb(self.n, self.k):
             raise ValueError("some k-set is not covered by any block")
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_covered", covered)
         if self.class_of is not None:
             class_of = tuple(self.class_of)
             if len(class_of) != len(blocks):
                 raise ValueError(f"expected {len(blocks)} class tags, got {len(class_of)}")
             object.__setattr__(self, "class_of", class_of)
+
+    def block_of(self, kset: int) -> int:
+        """The index of the block that covers the k-set mask `kset`."""
+        return self._covered[kset.to_bytes((self.n + 7) // 8, "little")]
 
     def parallel_classes(self) -> list[list[int]]:
         """Block indices grouped by class tag."""

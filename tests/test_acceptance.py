@@ -153,10 +153,10 @@ def test_criterion_8_steiner_sharpness():
 
 def test_criterion_9_constants():
     sc = bounds.special_constants()
-    ok = abs(sc.x0 - (math.sqrt(21) - 3) / 2) < 1e-12
-    ok &= abs(sc.lambda_2313 - (6 * math.sqrt(21) - 27)) < 1e-12
-    ok &= 0.3176 <= sc.z_root <= 0.3178
-    ok &= abs((1 - sc.z_root) ** 3 - sc.z_root) < 1e-12
+    ok = abs(sc["x0"] - (math.sqrt(21) - 3) / 2) < 1e-12
+    ok &= abs(sc["lambda_2313"] - (6 * math.sqrt(21) - 27)) < 1e-12
+    ok &= 0.3176 <= sc["z_root"] <= 0.3178
+    ok &= abs((1 - sc["z_root"]) ** 3 - sc["z_root"]) < 1e-12
     # the min-max sits where its three branches are equal, and no point of a
     # 0.0025-step grid over x in [0.5, 1], y in [0, 1] lies below it
     x, y, value = bounds.optimize_2323()
@@ -167,7 +167,7 @@ def test_criterion_9_constants():
     ys = [j * 0.0025 for j in range(401)]
     ok &= all(bounds._minmax_objective(gx, gy) >= value for gx in xs for gy in ys)
     ok &= 0.24 <= value <= 0.2410
-    report(9, ok, f"x0={sc.x0:.12f} z={sc.z_root:.6f} minmax={value:.8f}")
+    report(9, ok, f"x0={sc['x0']:.12f} z={sc['z_root']:.6f} minmax={value:.8f}")
 
 
 def test_criterion_10_declared_substitutions():

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -79,7 +80,7 @@ def test_general_lower_bound_past_float_range_of_r():
     # r = 10^400 does not fit a float; the bound is 4 * 10^-200, which does
     value = bounds.general_lower_bound(4, 10**400, 3, 1, 1)
     assert value == pytest.approx(4e-200)
-    assert bounds.evaluate_bound("general_lower", n=4, r=10**400, k=3, t=1, s=1).value == value
+    assert bounds.evaluate_bound("general_lower", n=4, r=10**400, k=3, t=1, s=1)["value"] == value
     # where r fits a float the value is the plain power, bit for bit
     for r in (1, 2, 3, 7, 10**6):
         for k, t, s in ((3, 1, 1), (3, 2, 3), (4, 1, 3), (4, 3, 2)):
@@ -141,13 +142,13 @@ def test_reference_bounds():
 
 def test_special_constants_residuals():
     sc = bounds.special_constants()
-    assert sc.x0 == pytest.approx((math.sqrt(21) - 3) / 2, abs=1e-13)
-    assert abs(2 * sc.x0**3 + (1 - sc.x0) ** 3 - 1) < 1e-12
-    assert abs(sc.lambda_2313 - (6 * math.sqrt(21) - 27)) < 1e-13
-    assert abs(sc.lambda_2313 - (1 - sc.x0**3 - (1 - sc.x0) ** 3)) < 1e-12
-    assert abs((1 - sc.z_root) ** 3 - sc.z_root) < 1e-12
-    assert 0.3176 <= sc.z_root <= 0.3178
-    assert float(sc.lambda_target_2323) == 0.375
+    assert sc["x0"] == pytest.approx((math.sqrt(21) - 3) / 2, abs=1e-13)
+    assert abs(2 * sc["x0"] ** 3 + (1 - sc["x0"]) ** 3 - 1) < 1e-12
+    assert abs(sc["lambda_2313"] - (6 * math.sqrt(21) - 27)) < 1e-13
+    assert abs(sc["lambda_2313"] - (1 - sc["x0"] ** 3 - (1 - sc["x0"]) ** 3)) < 1e-12
+    assert abs((1 - sc["z_root"]) ** 3 - sc["z_root"]) < 1e-12
+    assert 0.3176 <= sc["z_root"] <= 0.3178
+    assert Fraction(sc["lambda_target_2323"]) == Fraction(3, 8)
 
 
 # optimize_2323's value and minimizer as the grid-and-golden-section search
@@ -210,8 +211,8 @@ def test_optimize_2323():
     f1, f2, f3 = _branches(x, y)
     assert abs(f1 - f2) <= 1e-12 and abs(f2 - f3) <= 1e-12
     sc = bounds.special_constants()
-    assert (sc.minmax_argmin, sc.minmax_2323) == ((x, y), value)
-    assert y == 1 - sc.z_root
+    assert (sc["minmax_argmin"], sc["minmax_2323"]) == ([x, y], value)
+    assert y == 1 - sc["z_root"]
 
 
 def test_optimize_2323_against_numeric_search():
@@ -227,9 +228,9 @@ def test_optimize_2323_against_numeric_search():
 
 def test_evaluate_bound_dispatch():
     rep = bounds.evaluate_bound("general_lower", n=9, r=4, k=2, t=1, s=1)
-    assert rep.value == pytest.approx(2.25)
+    assert rep["value"] == pytest.approx(2.25)
     rep = bounds.evaluate_bound("fg_vertex", n=9, r=4, k=2)
-    assert rep.params["q"] == 3
+    assert rep["params"]["q"] == 3
     with pytest.raises(ValueError):
         bounds.evaluate_bound("nope")
     with pytest.raises(ValueError):

@@ -323,6 +323,18 @@ def test_construct_k_above_n_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("design", ["ap5", "fano"])
+@pytest.mark.parametrize("t", ["0", "3"])
+def test_construct_steiner_t_out_of_range_exits_2(tmp_path, capsys, design, t):
+    # with or without class tags, t is checked against k = 2
+    out = tmp_path / "x.col"
+    assert exit_code("construct", "steiner", "--design", design, "--t", t, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need 1 <= t <= k, got t={t}, k=2\n"
+    assert not out.exists()
+
+
 def test_measure_k_above_n_exits_2(tmp_path, capsys):
     # the header of an edgeless K^3_2: C(2, 3) = 0 colors follow
     path = tmp_path / "x.col"

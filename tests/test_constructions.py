@@ -288,6 +288,14 @@ def test_steiner_coloring_rejects_conflicting_class():
         steiner_coloring(d, [list(range(7))], t=1)
 
 
+@pytest.mark.parametrize("t", [0, 3])
+def test_steiner_coloring_rejects_t_outside_1_to_k(t):
+    # the parallel classes are conflict-free at every t, so only the range check refuses
+    ap = affine_plane(5)
+    with pytest.raises(ValueError, match=rf"need 1 <= t <= k, got t={t}, k=2"):
+        steiner_coloring(ap, ap.parallel_classes(), t=t)
+
+
 @pytest.mark.parametrize("name", sorted(TWO_PART))
 def test_small_n_errors(name):
     build, _ = TWO_PART[name]

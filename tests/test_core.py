@@ -55,6 +55,16 @@ def naive_components(edges, t):
     return sorted(tuple(sorted(s)) for s in sets)
 
 
+def run_edges(runs):
+    """The edges of the runs, as masks: top | x for each bit x of low."""
+    return [top | 1 << (v - 1) for top, low in runs for v in mask_to_vertices(low)]
+
+
+# 3-sets on vertices 1..6 and 60..70: their masks reach past bit 61, where
+# bit v - 1 and bit v + 60 hash alike
+FAR_EDGES = [vertices_to_mask(e) for e in combinations((*range(1, 7), *range(60, 71)), 3)]
+
+
 def naive_measure(c, t, s):
     """measure from naive_components and explicit shadow sets, per color in
     index order and per component in order of its smallest edge rank."""
@@ -207,7 +217,12 @@ class TestComponents:
             if not edges:
                 continue
             t = rng.randint(1, 2)
-            got = sorted(tuple(c) for c in _component_indices(edge_runs(edges), t)[0])
+            got = sorted(tuple(c) for c in t_tight_components(Hypergraph(n, 3, edges), t))
+            assert got == naive_components(edges, t)
+        for _ in range(40):
+            edges = rng.sample(FAR_EDGES, rng.randint(1, 60))
+            t = rng.randint(1, 2)
+            got = sorted(tuple(c) for c in t_tight_components(Hypergraph(70, 3, edges), t))
             assert got == naive_components(edges, t)
 
     def test_order_independence(self):
@@ -219,14 +234,30 @@ class TestComponents:
             if not edges:
                 continue
             t = rng.randint(1, 2)
-            base = {frozenset(edges[i] for i in c) for c in _component_indices(edge_runs(edges), t)[0]}
+            base = {frozenset(edges[i] for i in c) for c in t_tight_components(Hypergraph(n, 3, edges), t)}
             shuffled = edges[:]
             rng.shuffle(shuffled)
             other = {
                 frozenset(shuffled[i] for i in c)
-                for c in _component_indices(edge_runs(shuffled), t)[0]
+                for c in t_tight_components(Hypergraph(n, 3, shuffled), t)
             }
             assert base == other
+
+    def test_edge_runs_merge_by_top(self):
+        rng = random.Random(19)
+        pools = [list(colex_edges(8, 3)), list(colex_edges(9, 4)), FAR_EDGES]
+        for _ in range(30):
+            for pool in pools:
+                edges = rng.sample(pool, rng.randint(1, min(len(pool), 120)))  # shuffled
+                tops = []  # each edge without its lowest vertex, first appearances in order
+                for e in edges:
+                    top = e ^ 1 << (mask_to_vertices(e)[0] - 1)
+                    if top not in tops:
+                        tops.append(top)
+                runs = edge_runs(edges)
+                assert [top for top, _ in runs] == tops
+                assert sorted(run_edges(runs)) == sorted(edges)
+                assert all(0 < low < top & -top for top, low in runs)
 
     def test_component_shadows_matches_components_and_shadow(self):
         rng = random.Random(17)
@@ -244,9 +275,9 @@ class TestComponents:
                 # each t-set of the component once: the popcounts add up to the set
                 t_sets = {key | 1 << (v - 1) for key, bits in comp_t_runs for v in mask_to_vertices(bits)}
                 assert sum(bits.bit_count() for _, bits in comp_t_runs) == len(t_sets)
-                assert t_sets == shadow_members(Hypergraph(n, k, [edges[i] for i in comp]).edges, t, k)
+                assert t_sets == shadow_members(run_edges(runs[i] for i in comp), t, k)
             for comp, counts in got:
-                h = Hypergraph(n, k, [edges[i] for i in comp])
+                h = Hypergraph(n, k, run_edges(runs[i] for i in comp))
                 assert counts == tuple(len(shadow(h, s)) for s in ss)
 
 

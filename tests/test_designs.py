@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from monotight.core import mask_to_vertices
+from monotight.core import colex_edges, mask_to_vertices
 from monotight.designs import (
     AFFINE_PLANE_MAX_Q,
     SteinerSystem,
@@ -109,6 +109,17 @@ def test_blocks_and_class_tags_are_tuples():
     assert builtin_design("fano").class_of is None
     with pytest.raises(ValueError, match="expected 12 class tags, got 11"):
         SteinerSystem(9, 3, 2, blocks=d.blocks, class_of=class_of[:-1])
+
+
+@pytest.mark.parametrize("design", ["fano", "s348", "ap11"])
+def test_block_of_names_the_covering_block(design):
+    # ap11 has 121 vertices, past vertex 61
+    d = affine_plane(11) if design == "ap11" else builtin_design(design)
+    for kset in colex_edges(d.n, d.k):
+        assert d.blocks[d.block_of(kset)] & kset == kset
+    # the map is derived from the blocks: not shown, compared or passed in
+    assert "_covered" not in repr(d)
+    assert d == dataclasses.replace(d)
 
 
 def test_partition_fano_t1():
