@@ -69,7 +69,7 @@ def _cmd_measure(args) -> dict:
         "s": args.s,
         "value": res.value,
         "witness_color": res.witness_color,
-        "witness_component_size": len(res.witness_component),
+        "witness_component_size": res.witness_size,
     }
 
 

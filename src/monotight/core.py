@@ -26,10 +26,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
-
-_ASCII_BIT = bytes.maketrans(b"01", b"\0\1")  # zero bytes stay zero
 
 
 def vertices_to_mask(vertices: Iterable[int]) -> int:
@@ -42,6 +40,8 @@ def vertices_to_mask(vertices: Iterable[int]) -> int:
 
 
 def mask_to_vertices(mask: int) -> tuple[int, ...]:
+    if mask < 0:
+        raise ValueError(f"a vertex mask is nonnegative, got {mask}")
     out = []
     while mask:
         low = mask & -mask
@@ -145,13 +145,15 @@ class Hypergraph:
     def __post_init__(self):
         _check_nk(self.n, self.k)
         edges = tuple(self.edges)
-        full = (1 << self.n) - 1
-        for e in edges:
-            if e.bit_count() != self.k:
-                raise ValueError(f"edge {mask_to_vertices(e)} is not a {self.k}-set")
-            if e & ~full:
-                raise ValueError(f"edge {mask_to_vertices(e)} leaves [1, {self.n}]")
+        sizes = set(map(int.bit_count, edges))
         ordered = sorted(edges)  # not a set: int masks hash alike past vertex 61
+        if edges and (sizes != {self.k} or ordered[0] < 0 or ordered[-1] >> self.n):
+            full = (1 << self.n) - 1
+            for e in edges:  # name the first bad edge in input order
+                if e.bit_count() != self.k:
+                    raise ValueError(f"edge {mask_to_vertices(e)} is not a {self.k}-set")
+                if e & ~full:
+                    raise ValueError(f"edge {mask_to_vertices(e)} leaves [1, {self.n}]")
         for a, b in zip(ordered, ordered[1:]):
             if a == b:
                 raise ValueError(f"duplicate edge {mask_to_vertices(a)}")
@@ -198,13 +200,29 @@ class Coloring:
         return Hypergraph(self.n, self.k, [e for e, col in zip(edges, self.colors) if col == i])
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeasureResult:
-    """Largest monochromatic t-tight component shadow, with its witness."""
+    """Largest monochromatic t-tight component shadow, with its witness: the
+    component's runs (top, low) of color `witness_color`, as `color_runs`
+    gives them."""
 
     value: int
     witness_color: int
-    witness_component: frozenset[int]
+    witness_runs: tuple[tuple[int, int], ...]
+
+    @property
+    def witness_size(self) -> int:
+        return sum(low.bit_count() for _, low in self.witness_runs)
+
+    @property
+    def witness_component(self) -> frozenset[int]:
+        """The colex ranks of the witness's edges. Edge top | x has rank
+        base + (bit index of x), where base is the colex rank of top | 1."""
+        ranks = []
+        for top, low in self.witness_runs:
+            base = sum(math.comb(u - 1, i + 2) for i, u in enumerate(mask_to_vertices(top)))
+            ranks += (base + j for j in range(low.bit_length()) if low >> j & 1)
+        return frozenset(ranks)
 
 
 def edge_runs(masks: Iterable[int]) -> list[tuple[int, int]]:
@@ -336,58 +354,50 @@ def _stored_colors(colors: Sequence[int], r: int) -> bytes | tuple[int, ...]:
     return out
 
 
-def color_runs(c: Coloring) -> tuple[dict[int, list[tuple[int, int]]], dict[int, list[int]]]:
-    """Each color's runs in colex order, and the colex rank of bit 0 of each run.
+def color_runs(c: Coloring) -> dict[int, list[tuple[int, int]]]:
+    """Each color's runs, one per top in colex order, keyed by color ascending.
 
     For a (k-1)-set `top` with lowest vertex a >= 2, the edges top | x with
-    x < a sit at consecutive colex ranks base .. base + a - 2, so edge
-    top | x has rank base + (bit index of x). Run (top, low) of color i
-    holds the x whose edges have color i; a top whose block holds no edge of
-    color i gives no run. Both are dicts keyed by color, ascending.
+    x < a sit at consecutive colex ranks. Run (top, low) of color i holds
+    the x whose edges have color i; a top whose block holds no edge of
+    color i gives no run.
 
     Up to 255 colors, the coloring stores its colors as bytes: each color's
     block is one `int(..., 2)` of a byte slice of them, the last color is
     the rest of the block, and every color in [1, r] has an entry. Above
-    255, the colors are a tuple, every edge is a run of its own, and only
-    the colors that occur have an entry, so the cost does not grow with r.
+    255, the colors are a tuple: each color's edges are bucketed and merged
+    by `edge_runs` into the same runs, and only the colors that occur have
+    an entry, so the cost does not grow with r.
     """
     r = c.r
     if r > 255:
-        runs = {col: [] for col in sorted(set(c.colors))}
-        bases = {col: [] for col in runs}
-        for rank, (e, col) in enumerate(zip(colex_edges(c.n, c.k), c.colors)):
-            low = e & -e
-            runs[col].append((e ^ low, low))
-            bases[col].append(rank + 1 - low.bit_length())
-        return runs, bases
+        buckets: dict[int, list[int]] = {col: [] for col in sorted(set(c.colors))}
+        for e, col in zip(colex_edges(c.n, c.k), c.colors):
+            buckets[col].append(e)
+        return {col: edge_runs(masks) for col, masks in buckets.items()}
     m = len(c.colors)
-    blocks = []  # (top, base, slice start, slice end)
+    blocks = []  # (top, slice start, slice end)
     base = 0
     for top in colex_edges(c.n, c.k - 1):
         size = (top & -top).bit_length() - 1
         if size:
-            blocks.append((top, base, m - base - size, m - base))
+            blocks.append((top, m - base - size, m - base))
         base += size
     # int(..., 2) reads the last character as bit 0, so the colors are
     # reversed: the last character of a block's slice is the edge top | 1
     reverse = c.colors[::-1]
-    rest = [(1 << (hi - lo)) - 1 for _, _, lo, hi in blocks]
+    rest = [(1 << (hi - lo)) - 1 for _, lo, hi in blocks]
     runs: dict[int, list[tuple[int, int]]] = {col: [] for col in range(1, r + 1)}
-    bases: dict[int, list[int]] = {col: [] for col in runs}
     for col in range(1, r):
         bits = reverse.translate(b"0" * col + b"1" + b"0" * (255 - col))
-        col_runs, col_bases = runs[col], bases[col]
-        for i, (top, base, lo, hi) in enumerate(blocks):
+        col_runs = runs[col]
+        for i, (top, lo, hi) in enumerate(blocks):
             low = int(bits[lo:hi], 2)
             if low:
                 col_runs.append((top, low))
-                col_bases.append(base)
                 rest[i] ^= low
-    for (top, base, _, _), low in zip(blocks, rest):
-        if low:
-            runs[r].append((top, low))
-            bases[r].append(base)
-    return runs, bases
+    runs[r] = [(top, low) for (top, _, _), low in zip(blocks, rest) if low]
+    return runs
 
 
 def component_shadows(
@@ -420,28 +430,14 @@ def measure(c: Coloring, t: int, s: int) -> MeasureResult:
 
     Ties are broken by (color index, smallest contained edge rank). Each
     color's edges are held as runs (`color_runs`), about C(n, k-1) per color,
-    not as C(n, k) edge masks.
+    not as C(n, k) edge masks, and the witness keeps the winning component's
+    runs; only `MeasureResult.witness_component` expands them into ranks.
     """
     k = c.k
     _check_tsk(k, t, s)
-    runs, bases = color_runs(c)
-    best: tuple[int, int, list[int]] | None = None
-    for col, col_runs in runs.items():
+    best: tuple[int, int, tuple[tuple[int, int], ...]] = (0, 0, ())
+    for col, col_runs in color_runs(c).items():
         for comp, (cnt,) in component_shadows(col_runs, t, (s,), k):
-            if best is None or cnt > best[0]:
-                best = (cnt, col, comp)
-    if best is None:
-        return MeasureResult(0, 0, frozenset())
-    cnt, col, comp = best
-    # bit j of a run's low mask is the edge of rank base + j. Each run writes
-    # its bits from lowest to highest set bit into one flag map as ASCII
-    # "0"/"1", read back as bytes 0/1. These spans never overlap: up to 255
-    # colors one color's runs have distinct tops, so disjoint rank blocks;
-    # above that every run is one edge, a span of one rank.
-    flags = bytearray(len(c.colors))
-    for i in comp:
-        base, low = bases[col][i], runs[col][i][1]
-        lo = (low & -low).bit_length() - 1
-        flags[base + lo : base + low.bit_length()] = bin(low >> lo)[:1:-1].encode()
-    witness = frozenset(compress(range(len(flags)), flags.translate(_ASCII_BIT)))
-    return MeasureResult(value=cnt, witness_color=col, witness_component=witness)
+            if cnt > best[0]:
+                best = (cnt, col, tuple(col_runs[i] for i in comp))
+    return MeasureResult(*best)

@@ -65,7 +65,7 @@ def _max_shadow_by_ts(c: Coloring) -> dict[tuple[int, int], int]:
     k = c.k
     ss = range(1, k + 1)
     out = {(t, s): 0 for t in range(1, k) for s in ss}
-    by_color, _ = color_runs(c)
+    by_color = color_runs(c)
     for runs in by_color.values():
         for t, comps in _counts_by_t(runs, k).items():
             for counts in comps:

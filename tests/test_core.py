@@ -157,6 +157,24 @@ class TestHypergraph:
         with pytest.raises(ValueError, match=r"duplicate edge \(5, 70, 80\)"):
             Hypergraph.from_vertex_lists(80, 3, edges + [[80, 70, 5]])
 
+    def test_first_bad_edge_in_input_order_is_named(self):
+        # many good edges first; 0b11 sorts first and {1, 2, 31} last, so the
+        # message names whichever of the two comes first in the input
+        good = list(colex_edges(30, 3))
+        wide = vertices_to_mask([1, 2, 31])
+        with pytest.raises(ValueError, match=r"^edge \(1, 2\) is not a 3-set$"):
+            Hypergraph(30, 3, good + [0b11, wide])
+        with pytest.raises(ValueError, match=r"^edge \(1, 2, 31\) leaves \[1, 30\]$"):
+            Hypergraph(30, 3, good + [wide, 0b11])
+
+    def test_negative_mask_is_refused(self):
+        # -7 has three bits set in its magnitude; a mask of it names no vertices
+        for edges in ([-7], [0b111, -7]):
+            with pytest.raises(ValueError, match="nonnegative"):
+                Hypergraph(5, 3, edges)
+        with pytest.raises(ValueError, match="nonnegative"):
+            colex_rank(-7, 5, 3)
+
     def test_complete(self):
         assert len(Hypergraph.complete(6, 3)) == 20
 
@@ -321,19 +339,27 @@ class TestColorBuckets:
         # up to 255 colors every color has an entry; above, only those that occur
         for c0 in oracle_colorings():
             for c in (c0, Coloring(c0.n, c0.k, 300, c0.colors)):
-                runs, bases = color_runs(c)
+                runs = color_runs(c)
                 masks, ranks = color_buckets(c)
                 want = range(1, c.r + 1) if c.r <= 255 else sorted(set(c.colors))
-                assert list(runs) == list(bases) == list(want)
+                assert list(runs) == list(want)
                 for col in range(c.r + 1):
                     expanded = [
-                        (top | (1 << j), base + j)
-                        for (top, low), base in zip(runs.get(col, []), bases.get(col, []))
+                        (top | (1 << j), colex_rank(top | 1, c.n, c.k) + j)
+                        for top, low in runs.get(col, [])
                         for j in range(low.bit_length())
                         if low >> j & 1
                     ]
                     assert all(low and low < (top & -top) for top, low in runs.get(col, []))
                     assert expanded == list(zip(masks[col], ranks[col])), (c.n, c.k, c.r, col)
+
+    def test_tuple_colors_give_the_bytes_runs(self):
+        # above 255 colors the runs are merged by top, as the bytes path gives
+        # them, and only the colors that occur have an entry
+        for c in oracle_colorings():
+            narrow = color_runs(c)
+            want = [(col, narrow[col]) for col in sorted(set(c.colors))]
+            assert list(color_runs(Coloring(c.n, c.k, 300, c.colors)).items()) == want, (c.n, c.k, c.r)
 
     @pytest.mark.parametrize("r", [2, 300])
     def test_colors_cannot_be_assigned(self, r):
@@ -502,6 +528,7 @@ class TestMeasure:
                     res = measure(c, t, s)
                     got = (res.value, res.witness_color, res.witness_component)
                     assert got == naive_measure(c, t, s), (c.n, c.k, c.r, t, s)
+                    assert res.witness_size == len(res.witness_component)
 
     def test_colors_above_one_byte_match_naive_oracle(self):
         rng = random.Random(31)
@@ -514,14 +541,14 @@ class TestMeasure:
                 assert (res.value, res.witness_color, res.witness_component) == naive_measure(c, t, s)
 
     def test_one_edge_runs_keep_every_witness_edge(self):
-        # above 255 colors each edge is a run of its own, and two edges of
-        # one colex block can lie in one component
+        # above 255 colors the edges of one colex block merge into one run,
+        # and the witness expands it back to every edge
         c = Coloring(4, 3, 300, [1] * 4)
         assert measure(c, 1, 1).witness_component == frozenset(range(4))
 
     def test_few_colors_above_one_byte_match_naive_oracle(self):
         # the oracle colorings again with r = 300: few colors in use, so many
-        # same-block edges share a component on the one-edge-run path
+        # same-block edges merge into one run on the tuple path
         for c in oracle_colorings():
             wide = Coloring(c.n, c.k, 300, c.colors)
             for t in range(1, c.k):

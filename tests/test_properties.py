@@ -50,7 +50,7 @@ def test_counts_by_t_match_one_component_pass_per_t():
     seen = {"split at k-1, joined below": 0, "split at every t": 0, "joined at k-1": 0}
     for c in split_colorings():
         k, ss = c.k, range(1, c.k + 1)
-        runs_by_color, _ = color_runs(c)
+        runs_by_color = color_runs(c)
         for runs in runs_by_color.values():
             want = {t: [cnt for _, cnt in component_shadows(runs, t, ss, k)] for t in range(1, k)}
             assert _counts_by_t(runs, k) == want
