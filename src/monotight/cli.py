@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Every run prints one JSON object to stdout. Exit codes: 0 success,
-1 verification failure, 2 invalid input (such as a flag the subcommand
-would not read) or an unusable file path,
-3 internal error (a bug: one "error: internal: ..." line on stderr and
-nothing on stdout).
+1 verification failure, 2 invalid input (a parse error, a flag the
+subcommand would not read, a size past the index range) or an unusable
+file path, 3 internal error (a bug). Exits 2 and 3 print one "error: ..."
+line on stderr (3: "error: internal: ...") and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -210,8 +210,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # `main` reports it as one "error:" line, exit 2
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="monotight")
+    p = _Parser(prog="monotight")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     sp = sub.add_parser("components", help="t-tight components of a hypergraph file")
@@ -290,12 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         report = {"subcommand": args.subcommand, **args.fn(args)}
         print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
-    except (OSError, ValueError) as exc:  # fileio.FormatError is a ValueError
+    except (OSError, ValueError, OverflowError) as exc:  # FormatError is a ValueError; C(n, k) may overflow
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a bug, not bad input; exit 1 would read as "violations found"

@@ -15,7 +15,7 @@ import math
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .core import Coloring, colex_edges, mask_to_vertices
+from .core import Coloring, _subset_ranks, colex_edges, mask_to_vertices
 from .designs import SteinerSystem
 
 
@@ -151,10 +151,9 @@ def steiner_coloring(system: SteinerSystem, classes: list[list[int]], t: int = 1
                 raise ValueError(
                     f"class {ci} has blocks {i} and {j} sharing {inter} >= {t} vertices"
                 )
-    class_of_block = {}
-    for ci, cls in enumerate(classes):
+    colors = [0] * math.comb(system.n, system.k)
+    for ci, cls in enumerate(classes, 1):
         for b in cls:
-            class_of_block[b] = ci + 1
-    n, k = system.n, system.k
-    colors = [class_of_block[system.block_of(e)] for e in colex_edges(n, k)]
-    return Coloring(n, k, len(classes), colors)
+            for rank in _subset_ranks(mask_to_vertices(system.blocks[b]), system.k):
+                colors[rank] = ci
+    return Coloring(system.n, system.k, len(classes), colors)

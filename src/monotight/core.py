@@ -52,12 +52,23 @@ def mask_to_vertices(mask: int) -> tuple[int, ...]:
 
 def colex_rank(edge: int | Iterable[int], n: int, k: int) -> int:
     """Colex rank of a k-subset of {1..n}; accepts a bitmask or vertices."""
-    vs = mask_to_vertices(edge) if isinstance(edge, int) else tuple(sorted(edge))
-    if len(vs) != k:
-        raise ValueError(f"expected a {k}-subset, got {len(vs)} vertices")
+    vs = mask_to_vertices(edge) if isinstance(edge, int) else tuple(sorted(set(edge)))
+    if len(vs) != k:  # a repeated vertex counts once
+        raise ValueError(f"expected a {k}-subset, got {len(vs)} distinct vertices")
     if vs and (vs[0] < 1 or vs[-1] > n):
         raise ValueError(f"vertex out of range [1, {n}]: {vs}")
     return sum(math.comb(v - 1, i + 1) for i, v in enumerate(vs))
+
+
+def _subset_ranks(vs: Sequence[int], k: int) -> list[int]:
+    """Colex ranks of the k-subsets of the ascending vertices vs, descending. A j-subset
+    topped by vs[p] ranks C(vs[p]-1, j) plus one of the last C(p, j-1) (j-1)-subset ranks."""
+    ranks = [v - 1 for v in reversed(vs)] if k else [0]
+    for j in range(2, k + 1):
+        below, ranks = ranks, []
+        for p in range(len(vs) - 1, j - 2, -1):
+            ranks += map(math.comb(vs[p] - 1, j).__add__, below[len(below) - math.comb(p, j - 1) :])
+    return ranks
 
 
 def colex_unrank(rank: int, n: int, k: int) -> int:

@@ -16,8 +16,9 @@ from .core import (
     Coloring,
     _check_nk,
     _check_tsk,
-    _sub_masks,
+    _subset_ranks,
     colex_edges,
+    mask_to_vertices,
     measure,
 )
 
@@ -69,18 +70,15 @@ def _edge_tables(n: int, k: int, t: int, s: int) -> tuple[list[int], list[int]]:
     index j lies in e_i, so the s-shadow of an edge set is the OR of its
     edges' shade masks, and it is complete when all C(n, s) bits are set.
     """
-    masks = list(colex_edges(n, k))
-    containing: dict[int, int] = {}
-    adj = []
-    for i, e in enumerate(masks):
+    containing = [0] * math.comb(n, t)  # t-set colex rank -> mask of the edges so far containing it
+    adj, shade = [], []
+    for i, vs in enumerate(map(mask_to_vertices, colex_edges(n, k))):
         near = 0
-        for key in _sub_masks(e, t):
-            before = containing.get(key, 0)
-            near |= before
-            containing[key] = before | 1 << i
+        for rank in _subset_ranks(vs, t):
+            near |= containing[rank]
+            containing[rank] |= 1 << i
         adj.append(near)
-    s_index = {key: j for j, key in enumerate(colex_edges(n, s))}
-    shade = [sum(1 << s_index[key] for key in _sub_masks(e, s)) for e in masks]
+        shade.append(sum(1 << rank for rank in _subset_ranks(vs, s)))
     return adj, shade
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monotight import constructions, designs, fileio, search
+from monotight import bounds, constructions, designs, fileio, properties, search
 from monotight.cli import build_parser, main
 
 
@@ -169,11 +169,8 @@ def test_deterministic_json(tmp_path, capsys):
 
 
 def exit_code(*argv):
-    """main's return code, or the code of the SystemExit argparse raises."""
-    try:
-        return main(list(argv))
-    except SystemExit as exc:
-        return exc.code
+    """main's return code; a parse error is returned as 2, not raised as SystemExit."""
+    return main(list(argv))
 
 
 @pytest.mark.parametrize("name", ["majority", "two_clique", "parity", "all_red"])
@@ -463,10 +460,115 @@ def test_cli_argv_fuzz_keeps_exit_contract(argv):
         argv = [str(Path(tmp) / tok[1:]) if tok.startswith("@") else tok for tok in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+            code = main(argv)
     assert code in (0, 1, 2), (code, err.getvalue())
+    if code == 2:  # bad input, parse errors included: one error line
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
     if out.getvalue():
         assert isinstance(json.loads(out.getvalue()), dict)
+
+
+def test_repeated_vertex_in_explicit_coloring_exits_2(tmp_path, capsys):
+    # read as edge {1, 2, 3}, this file would be a complete explicit coloring
+    path = tmp_path / "rep.col"
+    path.write_text("4 3 2\n1 1 3 2\n1 2 4 1\n1 3 4 1\n2 3 4 1\n")
+    assert main(["measure", "--coloring", str(path), "--t", "1", "--s", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: expected a 3-subset, got 2 distinct vertices\n"
+
+
+PARSE_ERRORS = {
+    "unknown-flag": (["measure", "--coloring", "x", "--t", "1", "--s", "1", "--bogus"], "unrecognized arguments: --bogus"),
+    "missing-required": (["measure", "--coloring", "x", "--t", "1"], "required: --s"),
+    "bad-choice": (["construct", "nosuch", "--out", "x"], "invalid choice: 'nosuch'"),
+    "no-subcommand": ([], "required: subcommand"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_error_is_one_error_line(capsys, case):
+    argv, words = PARSE_ERRORS[case]
+    assert main(argv) == 2  # returned, not raised as SystemExit
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert words in captured.err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "--help"])
+    assert exc.value.code == 0
+    assert "--coloring" in capsys.readouterr().out
+
+
+OVERFLOW = {
+    # C(100, 50) edges do not fit a list index
+    "search": ["search", "--n", "100", "--r", "2", "--k", "50", "--t", "1", "--s", "1", "--budget", "5", "--emit-witness", "@out"],
+    "all_red": ["construct", "all_red", "--n", "100", "--k", "50", "--r", "2", "--out", "@out"],
+    # two 199-vertex blocks of {1..200}: C(200, 100) k-sets to check
+    "design": ["design", "@des"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOW))
+def test_size_past_index_range_exits_2(tmp_path, capsys, case):
+    out, des = tmp_path / "out", tmp_path / "big.des"
+    full = " ".join(map(str, range(1, 201)))
+    des.write_text("200 199 100\n" + full.rsplit(" ", 1)[0] + "\n" + full.split(" ", 1)[1] + "\n")
+    start = time.perf_counter()
+    assert main([str({"@out": out, "@des": des}.get(tok, tok)) for tok in OVERFLOW[case]]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "internal" not in captured.err
+    assert not out.exists()
+
+
+def test_reference_bound(capsys):
+    code, rep = run(capsys, "bound", "--kind", "reference", "--n", "10", "--r", "3")
+    assert code == 0
+    assert rep["value"] == 5.0
+    assert rep["params"] == {"n": 10, "r": 3, "spanning_vertices": 5.0, "component_edges": pytest.approx(45 / 7.25)}
+
+
+def test_construct_steiner_without_design_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.col"
+    assert main(["construct", "steiner", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: steiner requires --design\n"
+    assert not out.exists()
+
+
+_MAX_SHADOW_BY_TS = properties._max_shadow_by_ts
+
+
+def _zero_base(c):
+    # the base coloring's shadows read 0, so every blow-up breaks the recursive bound
+    values = _MAX_SHADOW_BY_TS(c)
+    return dict.fromkeys(values, 0) if c.n == 6 else values
+
+
+# each suite's bound raised past any shadow it is compared with, or, for
+# blowup's recursive bound, its base values read as 0
+BROKEN_BOUNDS = {
+    "lowerbound": (bounds, "general_lower_bound", lambda n, r, k, t, s: math.comb(n, s) + 1),
+    "kk": (bounds, "kk_root", lambda m, k: 100.0),
+    "density": (bounds, "density_component_bound", lambda n, k, t, s, delta: math.comb(n, s) + 1),
+    "blowup": (properties, "_max_shadow_by_ts", _zero_base),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(BROKEN_BOUNDS))
+def test_broken_bound_is_reported_and_exits_1(monkeypatch, capsys, suite):
+    # no suite can pass whatever it measures
+    module, name, fake = BROKEN_BOUNDS[suite]
+    monkeypatch.setattr(module, name, fake)
+    code, rep = run(capsys, "verify", suite, "--trials", "2")
+    assert code == 1
+    assert rep["violations"]
+    if suite == "blowup":
+        assert {v["kind"] for v in rep["violations"]} == {"recursive-bound"}

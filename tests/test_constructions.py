@@ -286,6 +286,10 @@ def test_steiner_coloring_rejects_conflicting_class():
     # all blocks in one class: any two Fano lines share a vertex
     with pytest.raises(ValueError):
         steiner_coloring(d, [list(range(7))], t=1)
+    # each block in one class, block 6 missing or given twice
+    for classes in ([[i] for i in range(6)], [[i] for i in range(7)] + [[6]]):
+        with pytest.raises(ValueError, match="^classes must partition the block list$"):
+            steiner_coloring(d, classes, t=1)
 
 
 @pytest.mark.parametrize("t", [0, 3])

@@ -25,6 +25,7 @@ from monotight.core import (
     _component_indices,
     _shadow_members,
     _sub_masks,
+    _subset_ranks,
 )
 from monotight import fileio
 from monotight.constructions import all_red, majority_coloring, parity_coloring
@@ -131,6 +132,13 @@ class TestColexRanking:
                 want = sorted(vertices_to_mask(c) for c in combinations(vs, j))
                 assert sorted(_sub_masks(mask, j)) == want, (mask, j)
 
+    def test_subset_ranks_are_the_ranks_in_descending_colex_order(self):
+        for mask in (0b1, 0b11, 0b1011, 0b110101, 0b11111, 0b1101100010111, 1 << 70 | 1 << 64 | 0b101):
+            n = mask.bit_length()
+            for k in range(1, 5):
+                want = sorted((colex_rank(sub, n, k) for sub in _sub_masks(mask, k)), reverse=True)
+                assert _subset_ranks(mask_to_vertices(mask), k) == want, (mask, k)
+
     def test_errors(self):
         with pytest.raises(ValueError):
             colex_unrank(10, 5, 3)
@@ -138,6 +146,9 @@ class TestColexRanking:
             colex_rank({1, 2}, 5, 3)
         with pytest.raises(ValueError):
             colex_rank({1, 2, 9}, 5, 3)
+        # [1, 1, 3] is no 3-set; summing its terms would give 0, the rank of {1, 2, 3}
+        with pytest.raises(ValueError, match="^expected a 3-subset, got 2 distinct vertices$"):
+            colex_rank([1, 1, 3], 5, 3)
 
 
 class TestHypergraph:

@@ -5,7 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from monotight.core import colex_edges, mask_to_vertices
+from monotight.constructions import steiner_coloring
+from monotight.core import colex_edges
 from monotight.designs import (
     AFFINE_PLANE_MAX_Q,
     SteinerSystem,
@@ -84,6 +85,12 @@ def test_validator_catches_broken_design():
         SteinerSystem(7, 3, 2, d.blocks[:-1])
     with pytest.raises(ValueError, match="need n > h >= k"):
         SteinerSystem(7, 7, 2, [])
+    # C(3, 1) does not divide C(7, 1): two disjoint blocks leave vertex 7 uncovered
+    with pytest.raises(ValueError, match="^some k-set is not covered by any block$"):
+        SteinerSystem(7, 3, 1, [0b111, 0b111000])
+    for bad in (0b1111, 0b11 | 1 << 7):  # four vertices; vertex 8 of 7
+        with pytest.raises(ValueError, match=r"^block 6 is not an h-subset of \{1..n\}$"):
+            SteinerSystem(7, 3, 2, d.blocks[:-1] + (bad,))
 
 
 @pytest.mark.parametrize(
@@ -107,18 +114,24 @@ def test_blocks_and_class_tags_are_tuples():
     blocks[0] = blocks[1]  # the input list is copied, not kept
     assert d.blocks[0] != d.blocks[1]
     assert builtin_design("fano").class_of is None
+    with pytest.raises(ValueError, match="carries no class tags"):
+        builtin_design("fano").parallel_classes()
     with pytest.raises(ValueError, match="expected 12 class tags, got 11"):
         SteinerSystem(9, 3, 2, blocks=d.blocks, class_of=class_of[:-1])
 
 
 @pytest.mark.parametrize("design", ["fano", "s348", "ap11"])
-def test_block_of_names_the_covering_block(design):
-    # ap11 has 121 vertices, past vertex 61
+def test_steiner_coloring_colors_each_kset_by_its_blocks_class(design):
+    # ap11 has 121 vertices, past vertex 61; fano and s348 carry no class tags
     d = affine_plane(11) if design == "ap11" else builtin_design(design)
-    for kset in colex_edges(d.n, d.k):
-        assert d.blocks[d.block_of(kset)] & kset == kset
-    # the map is derived from the blocks: not shown, compared or passed in
-    assert "_covered" not in repr(d)
+    classes = d.parallel_classes() if d.class_of else partition_blocks(d, 1)[0]
+    class_of = {b: ci for ci, cls in enumerate(classes, 1) for b in cls}
+    c = steiner_coloring(d, classes)
+    for kset, color in zip(colex_edges(d.n, d.k), c.colors):
+        (b,) = [i for i, block in enumerate(d.blocks) if block & kset == kset]
+        assert color == class_of[b]
+    # the system keeps its fields only: nothing sized by C(n, k) is shown, compared or passed in
+    assert repr(d) == f"SteinerSystem(n={d.n}, h={d.h}, k={d.k}, blocks={d.blocks!r}, class_of={d.class_of!r})"
     assert d == dataclasses.replace(d)
 
 

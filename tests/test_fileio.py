@@ -151,6 +151,31 @@ def test_coloring_malformed():
     assert "mix" in str(exc.value)
 
 
+# explicit lines of K^3_4, one edge per line; each case breaks one of them
+EXPLICIT_K34 = ["4 3 2", "1 2 3 2", "1 2 4 1", "1 3 4 1", "2 3 4 1"]
+
+
+@pytest.mark.parametrize(
+    "line, lineno, message",
+    [
+        ("1 1 3 2", 2, "line 2: expected a 3-subset, got 2 distinct vertices"),
+        ("1 3 5 1", 4, "line 4: vertex out of range [1, 4]: (1, 3, 5)"),
+        ("4 2 1 1", 5, "line 5: duplicate edge [4, 2, 1]"),
+        (None, 5, "explicit coloring lists 3 of 4 edges"),
+    ],
+    ids=["repeated", "out-of-range", "duplicate", "too-few"],
+)
+def test_explicit_coloring_errors(line, lineno, message):
+    lines = EXPLICIT_K34.copy()
+    if line is None:
+        del lines[lineno - 1]
+    else:
+        lines[lineno - 1] = line
+    with pytest.raises(FormatError) as exc:
+        read_coloring(io.StringIO("\n".join(lines) + "\n"))
+    assert str(exc.value) == message
+
+
 def test_format_error_carries_line_number():
     with pytest.raises(FormatError) as exc:
         read_hypergraph(io.StringIO("5 3\n1 2 3\nx y z\n"))
