@@ -15,13 +15,13 @@ import math
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .core import Coloring, _subset_ranks, colex_edges, mask_to_vertices
+from .core import Coloring, _kset_count, _subset_ranks, colex_edges, mask_to_vertices
 from .designs import SteinerSystem
 
 
 def all_red(n: int, k: int, r: int) -> Coloring:
     """The constant coloring: every edge gets color 1."""
-    return Coloring(n, k, r, [1] * math.comb(n, k))
+    return Coloring(n, k, r, [1] * _kset_count(n, k))
 
 
 def _partition_coloring(

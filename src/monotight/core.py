@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -127,6 +128,15 @@ def _sub_masks(mask: int, j: int) -> list[int]:
         out.append(low ^ flip)
         rest ^= low
     return out
+
+
+def _kset_count(n: int, k: int) -> int:
+    """C(n, k), the length of a table indexed by k-set colex rank; a count
+    past the largest list index raises ValueError naming C(n, k)."""
+    count = math.comb(n, k)
+    if count > sys.maxsize:
+        raise ValueError(f"C({n}, {k}) = {count} k-sets exceed the largest list index, {sys.maxsize}")
+    return count
 
 
 def _check_nk(n: int, k: int) -> None:

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import _subset_ranks, colex_unrank, mask_to_vertices, vertices_to_mask
+from .core import _kset_count, _subset_ranks, colex_unrank, mask_to_vertices, vertices_to_mask
 
 
 def _is_prime(q: int) -> bool:
@@ -36,13 +36,14 @@ class SteinerSystem:
     class_of: Sequence[int] | None = None
 
     def __post_init__(self):
-        if not self.n > self.h >= self.k:
-            raise ValueError(f"need n > h >= k, got n={self.n}, h={self.h}, k={self.k}")
+        if not self.n > self.h >= self.k >= 1:
+            raise ValueError(f"need n > h >= k >= 1, got n={self.n}, h={self.h}, k={self.k}")
         blocks = tuple(self.blocks)
-        expected = math.comb(self.n, self.k) // math.comb(self.h, self.k)
+        ksets = _kset_count(self.n, self.k)
+        expected = ksets // math.comb(self.h, self.k)
         if len(blocks) != expected:
             raise ValueError(f"expected {expected} blocks, got {len(blocks)}")
-        owner = [-1] * math.comb(self.n, self.k)  # k-set colex rank -> covering block
+        owner = [-1] * ksets  # k-set colex rank -> covering block
         for bi, block in enumerate(blocks):
             if block.bit_count() != self.h or block >> self.n:
                 raise ValueError(f"block {bi} is not an h-subset of {{1..n}}")

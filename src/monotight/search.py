@@ -9,13 +9,13 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from itertools import product
 
 from . import constructions
 from .core import (
     Coloring,
     _check_nk,
     _check_tsk,
+    _kset_count,
     _subset_ranks,
     colex_edges,
     mask_to_vertices,
@@ -40,8 +40,7 @@ def random_coloring(n: int, r: int, k: int, seed: int) -> Coloring:
     if r < 1:
         raise ValueError("r must be positive")
     rng = random.Random(seed)
-    m = math.comb(n, k)
-    return Coloring(n, k, r, [rng.randint(1, r) for _ in range(m)])
+    return Coloring(n, k, r, [rng.randint(1, r) for _ in range(_kset_count(n, k))])
 
 
 def _initial_incumbent(n: int, r: int, k: int, t: int, s: int) -> tuple[int, Coloring]:
@@ -98,13 +97,19 @@ def exact_M(
     Depth-first over edges in colex order; colors must first appear in
     increasing index order (cuts the r! color symmetry), so edge i tries
     colors 1..last[i], where last[i] is one above the largest color before
-    it, capped at q = min(r, C(n, k)). Each color keeps a list of its
-    components as (edge mask, shadow mask) pairs over the tables of
-    `_edge_tables`. Coloring edge i with c merges edge i with every
-    component of c whose edge mask meets adj[i] into one new pair; the old
-    list is kept, so undo puts it back. A branch is pruned as soon as the
-    running maximum shadow reaches the incumbent, which is sound because
-    adding edges never shrinks components or shadows. A coloring of the last
+    it, capped at q = min(r, C(n, k)). A component is one int,
+    `shadow << m | edges` with m = C(n, k), over the tables of
+    `_edge_tables`: adj[i] has bits below m only, so `comp & adj[i]` tests
+    whether the component meets edge i, a merge is one `|`, and the size is
+    the popcount of `comp >> m`. A color with at most one component keeps
+    it as a bare int (0: no edges), and only a color that has split keeps a
+    list of them; a list that merges back into one component becomes an int
+    again. Coloring edge i with c merges edge i with every component of c
+    that meets adj[i]. Only on a descent is the old value of c saved, and
+    stepping back restores it, depth by depth, until a depth with a color
+    left to try. A branch is pruned as soon as the running maximum shadow
+    reaches the incumbent, which is sound because adding edges never
+    shrinks components or shadows. A coloring of the last
     edge that passes that test is a complete coloring below the incumbent,
     so it becomes the incumbent at once, without a step to depth C(n, k).
     The search is one loop over the edge depth with per-depth state, so its
@@ -118,7 +123,7 @@ def exact_M(
     """
     _check_args(n, r, k, t, s)
     start = time.perf_counter()
-    m = math.comb(n, k)
+    m = _kset_count(n, k)
     q = min(r, m)  # at most m colors occur, so every r >= m searches as r = m
 
     best, best_col = _initial_incumbent(n, q, k, t, s)
@@ -135,25 +140,30 @@ def exact_M(
         )
 
     adj, shade = _edge_tables(n, k, t, s)
+    own = [covered << m | 1 << i for i, covered in enumerate(shade)]  # edge i alone as a component
     witness = best_col.colors
-    # comps[c]: the components of color c as (edge mask, shadow mask) pairs
-    comps: list[list[tuple[int, int]]] = [[] for _ in range(q + 1)]
-    saved: list[list[tuple[int, int]] | None] = [None] * m  # comps[color[i]] before edge i
-    color = [0] * m  # color of edge i; 0 on first arrival at depth i
+    # comps[c]: the components of color c, each one int `shadow << m | edges`;
+    # an int while c has at most one (0: no edges), a list once it has split
+    comps: list[int | list[int]] = [0] * (q + 1)
+    saved: list[int | list[int]] = [0] * m  # comps[color[i]] before edge i, when the search descended from i
+    color = [0] * m  # color of edge i
     last = [1] * m  # largest color edge i may take: one above the largest before it, at most q
     run_max = [0] * m  # largest component shadow among edges before i
     leaf = m - 1
     nodes = 0
     exhausted = False
-    i = 0
-    while i >= 0:
-        c = color[i]
-        if c:
-            comps[c] = saved[i]
-            if c == last[i]:
-                color[i] = 0
+    i = c = 0  # c: the color edge i took last, 0 on arrival at depth i
+    while True:
+        if c == last[i]:
+            # no color left at depth i: step back to a depth that has one
+            while i:
                 i -= 1
-                continue
+                c = color[i]
+                comps[c] = saved[i]
+                if c < last[i]:
+                    break
+            else:
+                break
         if nodes == limit:
             exhausted = True
             break
@@ -161,16 +171,26 @@ def exact_M(
         color[i] = c
         nodes += 1
         near = adj[i]
-        edges, covered = 1 << i, shade[i]
-        kept = []
-        saved[i] = old = comps[c]
-        for comp in old:
-            if comp[0] & near:
-                edges |= comp[0]
-                covered |= comp[1]
+        merged = own[i]
+        old = comps[c]
+        if old.__class__ is int:
+            if old & near:
+                merged |= old
+                new = merged
             else:
-                kept.append(comp)
-        size = covered.bit_count()
+                new = [old, merged] if old else merged
+        else:
+            new = []
+            for comp in old:
+                if comp & near:
+                    merged |= comp
+                else:
+                    new.append(comp)
+            if new:
+                new.append(merged)
+            else:
+                new = merged
+        size = (merged >> m).bit_count()
         below = run_max[i]
         if size < below:
             size = below
@@ -178,12 +198,13 @@ def exact_M(
             if i == leaf:
                 best, witness = size, color.copy()
             else:
-                kept.append((edges, covered))
-                comps[c] = kept
+                saved[i] = old
+                comps[c] = new
                 cap = last[i]
                 i += 1
                 last[i] = cap + 1 if c == cap < q else cap
                 run_max[i] = size
+                c = 0
 
     return SearchResult(
         value=best,
@@ -192,18 +213,6 @@ def exact_M(
         nodes_explored=nodes,
         wall_time=time.perf_counter() - start,
     )
-
-
-def brute_force_M(n: int, r: int, k: int, t: int, s: int) -> int:
-    """Raw enumeration over all r^m colorings; oracle for small instances."""
-    _check_args(n, r, k, t, s)
-    m = math.comb(n, k)
-    best = None
-    for assignment in product(range(1, r + 1), repeat=m):
-        val = measure(Coloring(n, k, r, list(assignment)), t, s).value
-        if best is None or val < best:
-            best = val
-    return best
 
 
 def verify_r2a(n: int, k: int, t: int, s: int) -> dict:

@@ -139,6 +139,16 @@ def test_broken_design_file_exits_2(tmp_path, capsys):
     assert code == 0 and rep["valid"] and rep["blocks"] == 7
 
 
+def test_design_file_with_k_0_exits_2(tmp_path, capsys):
+    # C(7, 0) / C(3, 0) = 1, so one block would pass as a design of 0-sets
+    path = tmp_path / "k0.des"
+    path.write_text("7 3 0\n1 2 3\n")
+    assert main(["design", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need n > h >= k >= 1, got n=7, h=3, k=0\n"
+
+
 def test_design_file_named_like_an_affine_plane(tmp_path, monkeypatch, capsys):
     # "ap" followed by digits only names AG(2, q); anything else is a file
     monkeypatch.chdir(tmp_path)
@@ -505,10 +515,10 @@ def test_help_still_exits_0(capsys):
 
 OVERFLOW = {
     # C(100, 50) edges do not fit a list index
-    "search": ["search", "--n", "100", "--r", "2", "--k", "50", "--t", "1", "--s", "1", "--budget", "5", "--emit-witness", "@out"],
-    "all_red": ["construct", "all_red", "--n", "100", "--k", "50", "--r", "2", "--out", "@out"],
+    "search": (["search", "--n", "100", "--r", "2", "--k", "50", "--t", "1", "--s", "1", "--budget", "5", "--emit-witness", "@out"], "C(100, 50)"),
+    "all_red": (["construct", "all_red", "--n", "100", "--k", "50", "--r", "2", "--out", "@out"], "C(100, 50)"),
     # two 199-vertex blocks of {1..200}: C(200, 100) k-sets to check
-    "design": ["design", "@des"],
+    "design": (["design", "@des"], "C(200, 100)"),
 }
 
 
@@ -518,11 +528,12 @@ def test_size_past_index_range_exits_2(tmp_path, capsys, case):
     full = " ".join(map(str, range(1, 201)))
     des.write_text("200 199 100\n" + full.rsplit(" ", 1)[0] + "\n" + full.split(" ", 1)[1] + "\n")
     start = time.perf_counter()
-    assert main([str({"@out": out, "@des": des}.get(tok, tok)) for tok in OVERFLOW[case]]) == 2
+    argv, size = OVERFLOW[case]
+    assert main([str({"@out": out, "@des": des}.get(tok, tok)) for tok in argv]) == 2
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {size} = ") and captured.err.count("\n") == 1
     assert "internal" not in captured.err
     assert not out.exists()
 

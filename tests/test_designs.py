@@ -83,8 +83,11 @@ def test_validator_catches_broken_design():
         SteinerSystem(7, 3, 2, d.blocks[:-1] + (d.blocks[0],))
     with pytest.raises(ValueError, match="expected 7 blocks, got 6"):
         SteinerSystem(7, 3, 2, d.blocks[:-1])
-    with pytest.raises(ValueError, match="need n > h >= k"):
+    with pytest.raises(ValueError, match="need n > h >= k >= 1"):
         SteinerSystem(7, 7, 2, [])
+    # C(7, 0) / C(3, 0) = 1 block would cover the one 0-set
+    with pytest.raises(ValueError, match="^need n > h >= k >= 1, got n=7, h=3, k=0$"):
+        SteinerSystem(7, 3, 0, [0b111])
     # C(3, 1) does not divide C(7, 1): two disjoint blocks leave vertex 7 uncovered
     with pytest.raises(ValueError, match="^some k-set is not covered by any block$"):
         SteinerSystem(7, 3, 1, [0b111, 0b111000])

@@ -1,13 +1,25 @@
 import hashlib
 import math
 import tracemalloc
+from itertools import product
 
 import pytest
 
 from monotight import bounds, search
 from monotight.constructions import all_red, majority_coloring, parity_coloring
 from monotight.core import Coloring, colex_edges, measure
-from monotight.search import brute_force_M, exact_M, random_coloring, verify_r2a
+from monotight.search import exact_M, random_coloring, verify_r2a
+
+
+def brute_force_M(n: int, r: int, k: int, t: int, s: int) -> int:
+    """Raw enumeration over all r^m colorings; the oracle for small instances."""
+    search._check_args(n, r, k, t, s)
+    best = None
+    for assignment in product(range(1, r + 1), repeat=math.comb(n, k)):
+        val = measure(Coloring(n, k, r, list(assignment)), t, s).value
+        if best is None or val < best:
+            best = val
+    return best
 
 
 def test_exact_paper_values_small():
@@ -105,6 +117,10 @@ def test_budget_is_never_overshot(inst):
         ((6, 2, 2, 1, 1), None, (6, "exact", 3415)),
         # a budget equal to the proof's node count still proves
         ((5, 2, 3, 1, 2), 265, (9, "exact", 265)),
+        # a color already split into several components, or splitting at the
+        # node, at 53% and 38% of these nodes
+        ((7, 3, 3, 2, 2), 100000, (11, "budget-exhausted", 100000)),
+        ((6, 4, 3, 2, 2), None, (5, "exact", 418)),
     ],
 )
 def test_search_tree_node_counts(inst, budget, expected):
@@ -120,6 +136,8 @@ def test_search_tree_node_counts(inst, budget, expected):
         ((6, 2, 3, 1, 3), None, "c3bc5251ba7fe659d6acd226e7c409f692d1b443f9da0c64c080b134ea92ea9f"),
         ((6, 3, 3, 2, 2), None, "49d16c63ad705e61400cb80bc02e4a0c6147d711ff7678dc2174f9e53523e61a"),
         ((7, 2, 3, 2, 3), 20000, "7f026fad2f9285001867aaa1d1561d1b38ca18c56db4350d8614e6f2571d15d1"),
+        ((7, 3, 3, 2, 2), 100000, "3e541d075a347983014ac7169e0080dd506e43e4a8e6fc62162fa9fedd126e5c"),
+        ((6, 4, 3, 2, 2), None, "4939fc584ec2f30fb0ab8594305510689906cba322bfa85d2e8d5f099462daba"),
     ],
 )
 def test_search_witness_colorings(inst, budget, sha256):
