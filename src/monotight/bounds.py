@@ -10,27 +10,29 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .core import _check_tsk
+from .core import _check_r, _check_tsk
 
 ROOT_TOL = 1e-12
+# the largest k kk_root takes: each of its steps multiplies k factors
+KK_MAX_K = 100_000
 
 
 def binom_real(x: float, s: int) -> float:
-    """Generalized binomial (x)(x-1)...(x-s+1)/s! for real x."""
+    """Generalized binomial (x)(x-1)...(x-s+1)/s! for real x, as a product of (x-i)/(s-i)."""
     if s < 0:
         raise ValueError("s must be nonnegative")
     prod = 1.0
     for i in range(s):
-        prod *= x - i
-    return prod / math.factorial(s)
+        prod *= (x - i) / (s - i)
+    return prod
 
 
 def kk_root(m: float, k: int) -> float:
-    """The unique x >= k with binom_real(x, k) = m, for m >= 1."""
+    """The unique x >= k with binom_real(x, k) = m, for m >= 1 and k <= KK_MAX_K."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    if not 1 <= k <= KK_MAX_K:
+        raise ValueError(f"k must lie in [1, {KK_MAX_K}], got {k}")
     hi = float(k) + 1.0
     while binom_real(hi, k) < m:
         hi = k + 2 * (hi - k)
@@ -43,16 +45,13 @@ def kk_shadow_bound(m: int, k: int, s: int) -> float:
     s-subsets covered by its edges."""
     if not 1 <= s <= k:
         raise ValueError(f"need 1 <= s <= k, got s={s}, k={k}")
-    if m < 1:
-        raise ValueError("m must be at least 1")
     return binom_real(kk_root(m, k), s)
 
 
 def general_lower_bound(n: int, r: int, k: int, t: int, s: int) -> float:
     """r^(-s/(k-t)) * C(n, s): valid for every r-coloring of K^k_n."""
     _check_tsk(k, t, s)
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    _check_r(r)
     try:
         scale = r ** (-s / (k - t))
     except OverflowError:  # r does not fit a float; the power still does
@@ -80,8 +79,7 @@ def fg_vertex_bound(n: int, r: int, k: int) -> tuple[int, float]:
     """Smallest q with r <= q^(k-1) + ... + q + 1, and the vertex bound n/q."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    _check_r(r)
     if k < 2:
         raise ValueError("k must be at least 2")
     if k >= r:

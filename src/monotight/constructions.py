@@ -36,15 +36,15 @@ def _partition_coloring(
     color table applied to part[:min(top)-1]: one `bytes.translate` per
     block, or a `map` when the parts or colors do not fit a byte. A table
     depends only on top's counts, whose key sums k^part over top (each count
-    is below k). It is cached by that key and filled, one rule call per part,
-    only for the parts that the vertices below min(top) reach.
+    is below k). It is cached by that key and filled once, at the first top
+    with that key: entry p is rule(top | v) for the first v of part p outside
+    top. Such a v is among part p's first k vertices unless top holds all of
+    part p, and then so does every top with that key, and no block reads p.
     """
-    firsts: dict[int, int] = {}  # part -> its lowest vertex, in that vertex's order
-    seen = [0]  # seen[i]: the number of parts among vertices 1..i
-    for v, p in enumerate(part, 1):
-        firsts.setdefault(p, v)
-        seen.append(len(firsts))
-    reps = list(firsts.items())
+    members: dict[int, list[int]] = {}  # part -> its first k vertices, as bits
+    for v, p in enumerate(part):
+        if len(members.setdefault(p, [])) < k:
+            members[p].append(1 << v)
     # keys of the (k-1)-sets in colex order: the j-sets with top vertex m are
     # the first C(m-1, j-1) (j-1)-sets, each plus m
     weights = [k**p for p in part]
@@ -61,18 +61,16 @@ def _partition_coloring(
     else:
         colors, blank = [], ([0] * (max(part) + 1)).copy
         expand = lambda block, table: map(table.__getitem__, block)  # noqa: E731
-    tables: dict[int, list] = {}  # key -> [part -> color table, parts filled]
+    tables: dict[int, bytearray | list[int]] = {}  # key -> part -> color table
     for top, key in zip(colex_edges(n, k - 1), keys):
-        size = (top & -top).bit_length() - 1
-        entry = tables.get(key)
-        if entry is None:
-            entry = tables[key] = [blank(), 0]
-        table, done = entry
-        if seen[size] > done:
-            for p, v in reps[done : seen[size]]:
-                table[p] = rule(top | 1 << (v - 1))
-            entry[1] = seen[size]
-        colors += expand(part[:size], table)
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = blank()
+            for p, bits in members.items():
+                outside = [b for b in bits if not b & top]
+                if outside:
+                    table[p] = rule(top | outside[0])
+        colors += expand(part[: (top & -top).bit_length() - 1], table)
     return Coloring(n, k, r, colors)
 
 

@@ -144,6 +144,11 @@ def _check_nk(n: int, k: int) -> None:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
 
 
+def _check_r(r: int) -> None:
+    if r < 1:
+        raise ValueError("r must be at least 1")
+
+
 def _check_tsk(k: int, t: int, s: int) -> None:
     if not 1 <= t <= k - 1:
         raise ValueError(f"need 1 <= t <= k-1, got t={t}, k={k}")
@@ -211,8 +216,7 @@ class Coloring:
         m = math.comb(self.n, self.k)
         if len(self.colors) != m:
             raise ValueError(f"expected C({self.n},{self.k})={m} colors, got {len(self.colors)}")
-        if self.r < 1:
-            raise ValueError("r must be positive")
+        _check_r(self.r)
         object.__setattr__(self, "colors", _stored_colors(self.colors, self.r))
 
     def color_class(self, i: int) -> Hypergraph:
@@ -376,22 +380,19 @@ def _stored_colors(colors: Sequence[int], r: int) -> bytes | tuple[int, ...]:
 
 
 def color_runs(c: Coloring) -> dict[int, list[tuple[int, int]]]:
-    """Each color's runs, one per top in colex order, keyed by color ascending.
+    """Each color that occurs, ascending, with its runs; r itself costs nothing.
 
     For a (k-1)-set `top` with lowest vertex a >= 2, the edges top | x with
     x < a sit at consecutive colex ranks. Run (top, low) of color i holds
-    the x whose edges have color i; a top whose block holds no edge of
-    color i gives no run.
+    the x whose edges have color i, one run per top in colex order; a top
+    whose block holds no edge of color i gives no run.
 
     Up to 255 colors, the coloring stores its colors as bytes: each color's
-    block is one `int(..., 2)` of a byte slice of them, the last color is
-    the rest of the block, and every color in [1, r] has an entry. Above
-    255, the colors are a tuple: each color's edges are bucketed and merged
-    by `edge_runs` into the same runs, and only the colors that occur have
-    an entry, so the cost does not grow with r.
+    block is one `int(..., 2)` of a byte slice of them, and the last color
+    that occurs is the rest of the block. Above 255, the colors are a tuple:
+    each color's edges are bucketed and merged by `edge_runs` into the same runs.
     """
-    r = c.r
-    if r > 255:
+    if c.r > 255:
         buckets: dict[int, list[int]] = {col: [] for col in sorted(set(c.colors))}
         for e, col in zip(colex_edges(c.n, c.k), c.colors):
             buckets[col].append(e)
@@ -408,16 +409,18 @@ def color_runs(c: Coloring) -> dict[int, list[tuple[int, int]]]:
     # reversed: the last character of a block's slice is the edge top | 1
     reverse = c.colors[::-1]
     rest = [(1 << (hi - lo)) - 1 for _, lo, hi in blocks]
-    runs: dict[int, list[tuple[int, int]]] = {col: [] for col in range(1, r + 1)}
-    for col in range(1, r):
+    # `in` on bytes is a memchr that stops at the first hit
+    *each, last = [col for col in range(1, c.r + 1) if col in reverse]
+    runs: dict[int, list[tuple[int, int]]] = {}
+    for col in each:
         bits = reverse.translate(b"0" * col + b"1" + b"0" * (255 - col))
-        col_runs = runs[col]
+        col_runs = runs[col] = []
         for i, (top, lo, hi) in enumerate(blocks):
             low = int(bits[lo:hi], 2)
             if low:
                 col_runs.append((top, low))
                 rest[i] ^= low
-    runs[r] = [(top, low) for (top, _, _), low in zip(blocks, rest) if low]
+    runs[last] = [(top, low) for (top, _, _), low in zip(blocks, rest) if low]
     return runs
 
 

@@ -8,10 +8,11 @@ first line "n h k", then one block per line. Lines starting with '#' are
 comments everywhere.
 
 The writer's compact form for r <= 9, one ASCII digit and "\n" per line
-with nothing else after the header, is read in bulk as bytes. Every other
-accepted coloring body (comments, blank lines, padding, other line ends,
-colors of two or more digits, explicit lines) is read line by line as
-before, with the same colors and the same errors.
+with nothing else after the header, is read in bulk as bytes. Other compact
+lines, two-digit colors included, go through `int` in bulk chunks; only the
+first line that `int` rejects, such as a comment, a blank line or an explicit
+line, hands the rest of the body to the line loop. Every form gives the same
+colors and the same errors.
 
 Colors are checked once, when `Coloring` is built, and stored as bytes
 (r <= 255) or a tuple. The writer takes them as stored, and the reader

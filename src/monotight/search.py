@@ -14,6 +14,7 @@ from . import constructions
 from .core import (
     Coloring,
     _check_nk,
+    _check_r,
     _check_tsk,
     _kset_count,
     _subset_ranks,
@@ -37,8 +38,7 @@ class SearchResult:
 def random_coloring(n: int, r: int, k: int, seed: int) -> Coloring:
     """Uniform independent edge colors from a seeded deterministic generator."""
     _check_nk(n, k)
-    if r < 1:
-        raise ValueError("r must be positive")
+    _check_r(r)
     rng = random.Random(seed)
     return Coloring(n, k, r, [rng.randint(1, r) for _ in range(_kset_count(n, k))])
 
@@ -84,8 +84,7 @@ def _edge_tables(n: int, k: int, t: int, s: int) -> tuple[list[int], list[int]]:
 def _check_args(n: int, r: int, k: int, t: int, s: int) -> None:
     _check_nk(n, k)
     _check_tsk(k, t, s)
-    if r < 1:
-        raise ValueError("r must be positive")
+    _check_r(r)
 
 
 def exact_M(

@@ -52,6 +52,19 @@ def test_kk_root_past_float_spacing(m, k):
     assert bounds.binom_real(root, k) == pytest.approx(m, rel=1e-9)
 
 
+@pytest.mark.parametrize("m, k", [(20, 171), (10**6, 170)])
+def test_kk_root_where_the_factorial_leaves_float_range(m, k):
+    # k! and the partial products of (x - i) pass 1.8e308; the root does not
+    root = bounds.kk_root(m, k)
+    assert k < root < k + 4
+    assert bounds.binom_real(root, k) == pytest.approx(m, rel=1e-9)
+
+
+def test_kk_root_refuses_k_past_its_limit():
+    with pytest.raises(ValueError, match=f"k must lie in \\[1, {bounds.KK_MAX_K}\\]"):
+        bounds.kk_root(20, bounds.KK_MAX_K + 1)
+
+
 def test_kk_shadow_bound_examples():
     assert bounds.kk_shadow_bound(10, 3, 2) == pytest.approx(10, abs=1e-9)
     for n, k, s in [(7, 3, 2), (9, 4, 2), (10, 3, 1)]:

@@ -361,6 +361,23 @@ def test_kk_shadow_bound_with_large_m_returns(capsys, m, k):
     assert math.isfinite(rep["value"])
 
 
+def test_kk_shadow_bound_past_factorial_float_range(capsys):
+    # 171! does not fit a float; the bound does
+    code, rep = run(capsys, "bound", "--kind", "kk_shadow", "--m", "20", "--k", "171", "--s", "1")
+    assert code == 0
+    assert rep["value"] == pytest.approx(171.5593894118033, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [bounds.KK_MAX_K + 1, 10**22])
+def test_kk_shadow_bound_refuses_k_past_its_limit(capsys, k):
+    start = time.perf_counter()
+    assert exit_code("bound", "--kind", "kk_shadow", "--m", "20", "--k", str(k), "--s", "1") == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"k must lie in [1, {bounds.KK_MAX_K}]" in captured.err
+
+
 def test_fg_vertex_bound_with_large_r_returns(capsys):
     start = time.perf_counter()
     code, rep = run(capsys, "bound", "--kind", "fg_vertex", "--n", "9", "--r", "1000000000", "--k", "2")

@@ -347,13 +347,12 @@ class TestColorBuckets:
             assert list(c.color_class(col).edges) == []
 
     def test_expanded_runs_are_the_buckets(self):
-        # up to 255 colors every color has an entry; above, only those that occur
+        # only the colors that occur have an entry, on both color stores
         for c0 in oracle_colorings():
             for c in (c0, Coloring(c0.n, c0.k, 300, c0.colors)):
                 runs = color_runs(c)
                 masks, ranks = color_buckets(c)
-                want = range(1, c.r + 1) if c.r <= 255 else sorted(set(c.colors))
-                assert list(runs) == list(want)
+                assert list(runs) == sorted(set(c.colors))
                 for col in range(c.r + 1):
                     expanded = [
                         (top | (1 << j), colex_rank(top | 1, c.n, c.k) + j)
@@ -365,12 +364,17 @@ class TestColorBuckets:
                     assert expanded == list(zip(masks[col], ranks[col])), (c.n, c.k, c.r, col)
 
     def test_tuple_colors_give_the_bytes_runs(self):
-        # above 255 colors the runs are merged by top, as the bytes path gives
-        # them, and only the colors that occur have an entry
+        # above 255 colors the runs are merged by top, as the bytes path gives them
         for c in oracle_colorings():
-            narrow = color_runs(c)
-            want = [(col, narrow[col]) for col in sorted(set(c.colors))]
+            want = list(color_runs(c).items())
             assert list(color_runs(Coloring(c.n, c.k, 300, c.colors)).items()) == want, (c.n, c.k, c.r)
+
+    @pytest.mark.parametrize("r", [200, 300])
+    def test_only_the_colors_that_occur(self, r):
+        # bytes at r = 200, a tuple at r = 300: r itself adds no entry
+        c = Coloring(5, 3, r, [3, 7] * 5)
+        assert isinstance(c.colors, bytes) == (r <= 255)
+        assert list(color_runs(c)) == [3, 7]
 
     @pytest.mark.parametrize("r", [2, 300])
     def test_colors_cannot_be_assigned(self, r):
