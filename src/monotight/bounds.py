@@ -12,8 +12,7 @@ from typing import Callable
 
 from .core import _check_r, _check_tsk
 
-ROOT_TOL = 1e-12
-# the largest k kk_root takes: each of its steps multiplies k factors
+# the largest k kk_root takes: each of its Newton steps sums 2k terms
 KK_MAX_K = 100_000
 
 
@@ -28,16 +27,30 @@ def binom_real(x: float, s: int) -> float:
 
 
 def kk_root(m: float, k: int) -> float:
-    """The unique x >= k with binom_real(x, k) = m, for m >= 1 and k <= KK_MAX_K."""
-    if m < 1:
+    """The unique x >= k with binom_real(x, k) = m, for m >= 1 and k <= KK_MAX_K.
+
+    Newton's method on f(d) = sum_{j=1..k} log1p(d/j) - log(m), where
+    x = k + d, so an int m past the float range still has a root. f is
+    increasing and concave for d > -1, so Newton steps from below rise
+    towards the root without passing it. The start is the AM-GM lower bound
+    C(x, k) <= (x - (k-1)/2)^k / k!, that is x >= (k! m)^(1/k) + (k-1)/2.
+    The iteration stops at the first step that does not raise d.
+    """
+    if not m >= 1:
         raise ValueError("m must be at least 1")
     if not 1 <= k <= KK_MAX_K:
         raise ValueError(f"k must lie in [1, {KK_MAX_K}], got {k}")
-    hi = float(k) + 1.0
-    while binom_real(hi, k) < m:
-        hi = k + 2 * (hi - k)
-    # binom_real is strictly increasing in x on [k, inf)
-    return _bisect_root(lambda x: binom_real(x, k) - m, float(k), hi, ROOT_TOL)
+    log_m = math.log(m)
+    if log_m == math.inf:
+        return math.inf
+    d = max(0.0, math.exp((math.lgamma(k + 1) + log_m) / k) + (k - 1) / 2 - k)
+    js = range(1, k + 1)
+    while True:
+        f = sum(math.log1p(d / j) for j in js) - log_m
+        step = f / sum(1 / (j + d) for j in js)
+        if not d - step > d:
+            return k + d
+        d -= step
 
 
 def kk_shadow_bound(m: int, k: int, s: int) -> float:

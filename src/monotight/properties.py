@@ -58,20 +58,29 @@ def _counts_by_t(runs: list[tuple[int, int]], k: int) -> dict[int, list[tuple[in
     return out
 
 
-def _max_shadow_by_ts(c: Coloring) -> dict[tuple[int, int], int]:
+def _max_shadow_by_ts(
+    c: Coloring, enough: dict[tuple[int, int], float] | None = None
+) -> dict[tuple[int, int], int]:
     """measure(c, t, s).value for every valid (t, s), sharing component work:
     one `_counts_by_t` per color, so a color class that is (k-1)-tight
-    connected takes one component pass for all t."""
+    connected takes one component pass for all t.
+
+    With `enough`, a map from (t, s) to a threshold, the remaining colors are
+    skipped once every (t, s) in it has reached its threshold. Each value is
+    then at least its threshold and at most the full maximum; a (t, s) that
+    stays below its threshold gets the full maximum, since no color is skipped.
+    """
     k = c.k
     ss = range(1, k + 1)
     out = {(t, s): 0 for t in range(1, k) for s in ss}
-    by_color = color_runs(c)
-    for runs in by_color.values():
+    for runs in color_runs(c).values():
         for t, comps in _counts_by_t(runs, k).items():
             for counts in comps:
                 for s, cnt in zip(ss, counts):
                     if cnt > out[(t, s)]:
                         out[(t, s)] = cnt
+        if enough is not None and all(out[ts] >= lo for ts, lo in enough.items()):
+            break
     return out
 
 
@@ -85,14 +94,23 @@ def verify_lowerbound(trials: int = 1000, seed: int = 0) -> dict:
         for r in (2, 3, 4)
         for k in (3, 4)
     ]
+    # per grid cell, each (t, s)'s bound and the least value that passes it
+    cell_bounds = [
+        {(t, s): bounds.general_lower_bound(n, r, k, t, s) for t in range(1, k) for s in range(1, k + 1)}
+        for n, r, k in grid
+    ]
+    cell_needs = [{ts: bound - SLACK for ts, bound in cell.items()} for cell in cell_bounds]
     violations = []
     for trial in range(trials):
-        n, r, k = grid[trial % len(grid)]
+        cell = trial % len(grid)
+        n, r, k = grid[cell]
         c = random_coloring(n, r, k, seed=rng.randrange(2**63))
-        values = _max_shadow_by_ts(c)
-        for (t, s), val in values.items():
-            bound = bounds.general_lower_bound(n, r, k, t, s)
-            if val < bound - SLACK:
+        need = cell_needs[cell]
+        # a trial stops early only once every (t, s) passes, so a violating
+        # trial computes every color and reports the true maximum
+        for (t, s), val in _max_shadow_by_ts(c, enough=need).items():
+            if val < need[(t, s)]:
+                bound = cell_bounds[cell][(t, s)]
                 violations.append({"n": n, "r": r, "k": k, "t": t, "s": s, "value": val, "bound": bound})
     return {"suite": "lowerbound", "trials": trials, "seed": seed, "violations": violations}
 
@@ -110,7 +128,10 @@ def verify_kk(trials: int = 500, seed: int = 0) -> dict:
         x = bounds.kk_root(len(g.edges), k)
         runs = edge_runs(g.edges)
         for s in range(1, k + 1):
-            actual = sum(bits.bit_count() for bits in _shadow_members(runs, s).values())
+            if s == k:  # the k-shadow of a k-graph is its edge set
+                actual = len(g.edges)
+            else:
+                actual = sum(bits.bit_count() for bits in _shadow_members(runs, s).values())
             bound = bounds.binom_real(x, s)
             if actual < bound - SLACK:
                 violations.append({"n": n, "k": k, "s": s, "edges": len(g.edges), "actual": actual, "bound": bound})

@@ -36,11 +36,22 @@ class SearchResult:
 
 
 def random_coloring(n: int, r: int, k: int, seed: int) -> Coloring:
-    """Uniform independent edge colors from a seeded deterministic generator."""
+    """Uniform independent edge colors from a seeded deterministic generator.
+
+    Each color is `random.Random(seed).randint(1, r)`'s draw, made as CPython
+    makes it: getrandbits(r.bit_length()), redrawn while it is r or more.
+    """
     _check_nk(n, k)
     _check_r(r)
-    rng = random.Random(seed)
-    return Coloring(n, k, r, [rng.randint(1, r) for _ in range(_kset_count(n, k))])
+    draw = random.Random(seed).getrandbits
+    width = r.bit_length()
+    colors = []
+    for _ in range(_kset_count(n, k)):
+        v = draw(width)
+        while v >= r:
+            v = draw(width)
+        colors.append(v + 1)
+    return Coloring(n, k, r, colors)
 
 
 def _initial_incumbent(n: int, r: int, k: int, t: int, s: int) -> tuple[int, Coloring]:

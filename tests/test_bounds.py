@@ -60,6 +60,31 @@ def test_kk_root_where_the_factorial_leaves_float_range(m, k):
     assert bounds.binom_real(root, k) == pytest.approx(m, rel=1e-9)
 
 
+def bisected_kk_root(m, k):
+    """The reference for kk_root's Newton iteration: the root bracketed by
+    doubling from [k, k + 1], then bisected to width 1e-12."""
+    hi = float(k) + 1.0
+    while bounds.binom_real(hi, k) < m:
+        hi = k + 2 * (hi - k)
+    return bounds._bisect_root(lambda x: bounds.binom_real(x, k) - m, float(k), hi, 1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 50, 170, 171])
+def test_kk_root_matches_bisection(k):
+    for m in [*range(1, 2001), 10**6, 10**12, 10**30]:
+        assert bounds.kk_root(m, k) == pytest.approx(bisected_kk_root(m, k), rel=1e-12, abs=0), m
+
+
+def test_kk_root_of_an_int_past_float_range():
+    # C(x, 3) = 10**400 at x near (6 * 10**400) ** (1/3)
+    root = bounds.kk_root(10**400, 3)
+    assert root == pytest.approx(3.9148676411688e133, rel=1e-12)
+    assert bounds.kk_shadow_bound(10**400, 3, 1) == root
+    assert bounds.kk_root(math.inf, 3) == math.inf
+    with pytest.raises(ValueError):
+        bounds.kk_root(math.nan, 3)
+
+
 def test_kk_root_refuses_k_past_its_limit():
     with pytest.raises(ValueError, match=f"k must lie in \\[1, {bounds.KK_MAX_K}\\]"):
         bounds.kk_root(20, bounds.KK_MAX_K + 1)

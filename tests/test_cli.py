@@ -368,6 +368,20 @@ def test_kk_shadow_bound_past_factorial_float_range(capsys):
     assert rep["value"] == pytest.approx(171.5593894118033, rel=1e-12)
 
 
+def test_kk_shadow_bound_of_m_past_float_range(capsys):
+    # C(x, 3) ~ x^3 / 6, so the root of C(x, 3) = 10**400 is about
+    # (6 * 10**400) ** (1/3) = 60 ** (1/3) * 10**133 = 3.9149e133
+    code, rep = run(capsys, "bound", "--kind", "kk_shadow", "--m", str(10**400), "--k", "3", "--s", "1")
+    assert code == 0
+    assert rep["value"] == pytest.approx(60 ** (1 / 3) * 1e133, rel=1e-9)
+
+
+@pytest.mark.parametrize("m", ["0", "-5", "inf"])
+def test_kk_shadow_bound_refuses_m_below_one_or_not_an_int(capsys, m):
+    assert exit_code("bound", "--kind", "kk_shadow", "--m", m, "--k", "3", "--s", "1") == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("k", [bounds.KK_MAX_K + 1, 10**22])
 def test_kk_shadow_bound_refuses_k_past_its_limit(capsys, k):
     start = time.perf_counter()

@@ -1,6 +1,7 @@
 """The verify suites' shared-work paths against one-question-at-a-time
 references: `_counts_by_t`'s descent in t against one component pass per t,
-and the grouped padded-intersection check against the pairwise loop."""
+lowerbound's early stop against every color computed, and the grouped
+padded-intersection check against the pairwise loop."""
 
 import math
 import random
@@ -64,9 +65,64 @@ def test_counts_by_t_match_one_component_pass_per_t():
 
 
 def test_max_shadow_by_ts_matches_measure_when_classes_split():
-    for c in split_colorings():
+    for c in [*split_colorings(), *lowerbound_colorings(48, 3)]:
         want = {(t, s): measure(c, t, s).value for t in range(1, c.k) for s in range(1, c.k + 1)}
         assert _max_shadow_by_ts(c) == want, (c.n, c.k, c.r)
+
+
+LOWERBOUND_GRID = [(n, r, k) for n in (6, 8, 10, 12) for r in (2, 3, 4) for k in (3, 4)]
+
+
+def lowerbound_colorings(trials: int, seed: int):
+    """The colorings verify_lowerbound draws, in its order."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        n, r, k = LOWERBOUND_GRID[trial % len(LOWERBOUND_GRID)]
+        yield random_coloring(n, r, k, seed=rng.randrange(2**63))
+
+
+def lowerbound_reference(trials: int, seed: int) -> dict:
+    """verify_lowerbound with every color of every trial computed."""
+    violations = []
+    for c in lowerbound_colorings(trials, seed):
+        for (t, s), val in _max_shadow_by_ts(c).items():
+            bound = bounds.general_lower_bound(c.n, c.r, c.k, t, s)
+            if val < bound - SLACK:
+                violations.append({"n": c.n, "r": c.r, "k": c.k, "t": t, "s": s, "value": val, "bound": bound})
+    return {"suite": "lowerbound", "trials": trials, "seed": seed, "violations": violations}
+
+
+def test_max_shadow_by_ts_stops_between_threshold_and_full_maximum():
+    stopped = 0
+    for c in lowerbound_colorings(96, 5):
+        full = _max_shadow_by_ts(c)
+        enough = {ts: bounds.general_lower_bound(c.n, c.r, c.k, *ts) - SLACK for ts in full}
+        got = _max_shadow_by_ts(c, enough)
+        assert all(enough[ts] <= got[ts] <= full[ts] for ts in full), (c.n, c.k, c.r)
+        stopped += got != full
+        # a threshold no coloring reaches at one (t, s) keeps every color
+        unreachable = {**enough, (1, 2): math.comb(c.n, 2) + 1}
+        assert _max_shadow_by_ts(c, unreachable) == full
+    # some trials stop before the color holding some maximum
+    assert stopped >= 10, stopped
+
+
+@pytest.mark.parametrize("where", [None, (1, 1), (1, 3), (2, 2), (3, 4)])
+def test_verify_lowerbound_reports_the_full_maximum(monkeypatch, where):
+    # the bound at one (t, s) is past any shadow, so every trial with that
+    # (t, s) violates it and must compute every color; with where = None
+    # the bounds are the real ones and nothing is violated
+    real = bounds.general_lower_bound
+
+    def fake(n, r, k, t, s):
+        return math.comb(n, s) + 1 if (t, s) == where else real(n, r, k, t, s)
+
+    monkeypatch.setattr(bounds, "general_lower_bound", fake)
+    rep = properties.verify_lowerbound(trials=60, seed=11)
+    assert rep == lowerbound_reference(60, 11)
+    fulls = [_max_shadow_by_ts(c) for c in lowerbound_colorings(60, 11) if where and where[0] < c.k]
+    assert [v["value"] for v in rep["violations"]] == [full[where] for full in fulls]
+    assert {(v["t"], v["s"]) for v in rep["violations"]} == ({where} if where else set())
 
 
 def density_reference(trials: int, seed: int) -> dict:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 import tracemalloc
 from itertools import product
 
@@ -220,6 +221,16 @@ def test_random_coloring_deterministic():
     assert a.colors == b.colors
     c = random_coloring(8, 3, 3, seed=124)
     assert a.colors != c.colors
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 7, 8, 255, 256, 300])
+def test_random_coloring_draws_what_randint_draws(r):
+    # the colors are drawn by getrandbits with rejection; they must stay
+    # exactly the values randint(1, r) gives from the same seed
+    for n, k, seed in [(3, 2, 0), (6, 3, 1), (8, 4, 2**63 - 1), (9, 2, 12345), (12, 3, 7)]:
+        rng = random.Random(seed)
+        want = [rng.randint(1, r) for _ in range(math.comb(n, k))]
+        assert list(random_coloring(n, r, k, seed).colors) == want, (n, k, seed)
 
 
 def test_random_coloring_histogram_5_sigma():
