@@ -4,8 +4,9 @@ Vertices are 1-based. An edge is an integer bitmask with bit v-1 set for
 vertex v; Python integers are arbitrary-width, so the same representation
 covers every n. Edge order is always colex: ranks, witnesses and file
 formats all refer to it. Colex order of k-subsets is increasing order of
-their bitmasks, so enumeration steps from one mask to the next larger one
-with the same popcount.
+their bitmasks, so the k-sets topped by vertex v follow all those below it,
+and among themselves run in the colex order of their other k-1 vertices:
+`colex_edges` yields them a chunk per top vertex.
 
 Components and shadows are computed on runs, not on single edges. For a
 (k-1)-set `top` with lowest vertex a >= 2, the edges top | x with x < a
@@ -18,7 +19,10 @@ Write a j-set as its lowest vertex and the rest Q. A j-set of the edge
 top | x either holds x, its lowest vertex, and a (j-1)-subset Q of top, or
 lies in top. So the j-subsets of a run's edges are Q | y for each
 (j-1)-subset Q of top and each bit y of low | (top & (lowbit(Q) - 1)): one
-(Q, bits) pair per Q, whatever the number of edges in the run.
+(Q, bits) pair per Q, whatever the number of edges in the run. For j = 1
+the one key is Q = 0, with bits low | top. For j = 2 each Q is one bit of
+top: peeling top's bits from low to high gives each Q with bits low | (the
+bits peeled before it). `_run_keys` walks these pairs for both run kernels.
 """
 
 from __future__ import annotations
@@ -91,22 +95,23 @@ def colex_unrank(rank: int, n: int, k: int) -> int:
 def colex_edges(n: int, k: int) -> Iterator[int]:
     """All k-subsets of {1..n} as bitmasks, in colex order.
 
-    Colex order is increasing-mask order, so each mask is followed by the
-    next larger integer with k set bits (Gosper's next-bit-permutation,
-    HAKMEM item 175).
+    Colex order is increasing-mask order, so the k-sets topped by vertex
+    v+1 are bit v or'ed onto each (k-1)-set of the vertices below it, in
+    their colex order: the first C(v, k-1) of the (k-1)-subsets of {1..n-1}.
+    Those C(n-1, k-1) masks are listed once, as the sums of
+    `itertools.combinations` of the bits from the highest down, which come
+    in descending colex order, reversed. Each top vertex then yields one
+    `map` over a prefix of that list.
     """
     if k < 0 or k > n:
         return
     if k == 0:
         yield 0
         return
-    x = (1 << k) - 1
-    end = 1 << n
-    while x < end:
-        yield x
-        low = x & -x
-        ripple = x + low
-        x = ripple | (((x ^ ripple) >> 2) // low)
+    below = list(map(sum, combinations([1 << v for v in range(n - 2, -1, -1)], k - 1)))
+    below.reverse()
+    for v in range(k - 1, n):
+        yield from map((1 << v).__or__, below[: math.comb(v, k - 1)])
 
 
 def _sub_masks(mask: int, j: int) -> list[int]:
@@ -260,6 +265,26 @@ def edge_runs(masks: Iterable[int]) -> list[tuple[int, int]]:
     return list(runs.items())
 
 
+def _run_keys(runs: Iterable[tuple[int, int]], j: int) -> Iterator[tuple[int, int, int]]:
+    """(run index, Q, bits) for each run and each j-subset Q of its top: the
+    module docstring's pairs for the (j+1)-subsets of the run's edges, Q
+    ascending for j = 1. Only j >= 2 lists a run's keys, with `_sub_masks`."""
+    if not j:
+        for idx, (top, low) in enumerate(runs):
+            yield idx, 0, low | top
+    elif j == 1:
+        for idx, (top, low) in enumerate(runs):
+            while top:
+                key = top & -top
+                yield idx, key, low
+                low |= key
+                top ^= key
+    else:
+        for idx, (top, low) in enumerate(runs):
+            for key in _sub_masks(top, j):
+                yield idx, key, low | (top & ((key & -key) - 1))
+
+
 def _component_indices(
     runs: Sequence[tuple[int, int]], t: int
 ) -> tuple[list[list[int]], list[list[tuple[int, int]]]]:
@@ -269,40 +294,59 @@ def _component_indices(
     t-tight connected. Two runs are adjacent exactly when they share a
     t-set, that is when they give one (t-1)-set Q bits that meet (see the
     module docstring). Per Q, the bits seen so far form disjoint (bits, run)
-    classes, and a run merges every class its bits meet into one.
-    Union-find keeps every root at the smallest run index, so parent[i] <= i
-    and one ascending pass flattens the forest.
+    classes, and a run merges every class its bits meet into one. Q keeps
+    one pair while it has one class, as it mostly does, and a list of pairs
+    only while its classes are split. Union-find keeps every root at the
+    smallest run index, so parent[i] <= i and one ascending pass flattens
+    the forest.
 
     Returns the components and, aligned with them, each component's t-shadow
     as its (Q, bits) classes: runs of t-sets, no t-set in two of them.
     """
     parent = list(range(len(runs)))
-    classes: dict[int, list[tuple[int, int]]] = {}  # Q -> disjoint (bits, run)
+    # Q -> its disjoint classes: one (bits, run) pair, or a list of two or more
+    classes: dict[int, tuple[int, int] | list[tuple[int, int]]] = {}
     get = classes.get
-    for idx, (top, low) in enumerate(runs):
-        root = idx
-        for key in _sub_masks(top, t - 1):
-            bits = low | (top & ((key & -key) - 1))
-            old = get(key)
-            if old is None:
-                classes[key] = [(bits, idx)]
+    cur = -1
+    for idx, key, bits in _run_keys(runs, t - 1):
+        if idx != cur:
+            cur = root = idx
+        old = get(key)
+        if old is None:
+            classes[key] = (bits, idx)
+            continue
+        if old.__class__ is tuple:  # one class: merge into it, or split off
+            cbits, prev = old
+            if not cbits & bits:
+                classes[key] = [old, (bits, idx)]
                 continue
-            kept = []
-            merged = bits
-            for cls in old:
-                cbits, prev = cls
-                if not cbits & bits:
-                    kept.append(cls)
-                    continue
-                merged |= cbits
-                while parent[prev] != prev:
-                    parent[prev] = prev = parent[parent[prev]]
-                if prev < root:
-                    parent[root] = root = prev
-                elif prev > root:
-                    parent[prev] = root
+            while parent[prev] != prev:
+                parent[prev] = prev = parent[parent[prev]]
+            if prev < root:
+                parent[root] = root = prev
+            elif prev > root:
+                parent[prev] = root
+            classes[key] = (bits | cbits, idx)
+            continue
+        kept = []
+        merged = bits
+        for cls in old:
+            cbits, prev = cls
+            if not cbits & bits:
+                kept.append(cls)
+                continue
+            merged |= cbits
+            while parent[prev] != prev:
+                parent[prev] = prev = parent[parent[prev]]
+            if prev < root:
+                parent[root] = root = prev
+            elif prev > root:
+                parent[prev] = root
+        if kept:
             kept.append((merged, idx))
             classes[key] = kept
+        else:  # every class merged into this run's: one pair again
+            classes[key] = (merged, idx)
     groups: dict[int, list[int]] = {}
     for idx in range(len(parent)):
         root = parent[idx] = parent[parent[idx]]
@@ -311,8 +355,8 @@ def _component_indices(
         else:
             groups[root].append(idx)
     t_runs: dict[int, list[tuple[int, int]]] = {root: [] for root in groups}
-    for key, kept in classes.items():
-        for bits, idx in kept:
+    for key, found in classes.items():
+        for bits, idx in (found,) if found.__class__ is tuple else found:
             t_runs[parent[idx]].append((key, bits))
     return list(groups.values()), list(t_runs.values())
 
@@ -343,9 +387,8 @@ def _shadow_members(runs: Iterable[tuple[int, int]], s: int) -> dict[int, int]:
     each bit y of bits (see the module docstring); no s-set occurs twice."""
     shade: dict[int, int] = {}
     get = shade.get
-    for top, low in runs:
-        for key in _sub_masks(top, s - 1):
-            shade[key] = get(key, 0) | low | (top & ((key & -key) - 1))
+    for _, key, bits in _run_keys(runs, s - 1):
+        shade[key] = get(key, 0) | bits
     return shade
 
 

@@ -114,7 +114,7 @@ class TestColexRanking:
         assert colex_rank(mask, n, k) == rank
 
     def test_colex_edges_order_matches_rank(self):
-        for n, k in [(5, 3), (7, 2), (8, 4), (6, 6)]:
+        for n, k in [(5, 3), (7, 2), (8, 4), (6, 6), (70, 3)]:
             ranks = [colex_rank(e, n, k) for e in colex_edges(n, k)]
             assert ranks == list(range(math.comb(n, k)))
 
@@ -289,25 +289,49 @@ class TestComponents:
                 assert all(0 < low < top & -top for top, low in runs)
 
     def test_component_shadows_matches_components_and_shadow(self):
+        # k-graphs on n <= 8 for k = 3..5 and samples of k-sets of {1..6, 60..70},
+        # whose masks pass bit 61; at k = 5 the (t-1)- and (s-1)-subsets of a
+        # 4-vertex top take every key size j = 0, 1, 2 and |top| - 1
         rng = random.Random(17)
+        far = (*range(1, 7), *range(60, 71))
+        cases = []
         for _ in range(60):
-            k = rng.choice((3, 4))
-            n = rng.randint(k + 1, 8)
-            edges = [e for e in colex_edges(n, k) if rng.random() < 0.3]
-            t = rng.randint(1, k - 1)
+            k = rng.choice((3, 4, 5))
+            if rng.random() < 0.7:
+                n = rng.randint(k + 1, 8)
+                edges = [e for e in colex_edges(n, k) if rng.random() < 0.3]
+            else:
+                n = 70
+                edges = [vertices_to_mask(e) for e in rng.sample(list(combinations(far, k)), rng.randint(1, 40))]
+            cases.append((edge_runs(edges), n, k, rng.randint(1, k - 1)))
+        # key 0 splits into two classes, merges back into one at the third run,
+        # and splits again at the last; key {9} splits and merges back at t = 2
+        split_merge = [((2, 3), (1,)), ((5, 6), (4,)), ((3, 5), (1,)), ((7, 8), (6,)), ((10, 11), (9,))]
+        key9 = [((5, 9), (1,)), ((6, 9), (2,)), ((7, 9), (1, 2))]
+        for runs, t, want in ((split_merge, 1, [[0, 1, 2, 3], [4]]), (key9, 2, [[0, 1, 2]])):
+            runs = [(vertices_to_mask(top), vertices_to_mask(low)) for top, low in runs]
+            assert _component_indices(runs, t)[0] == want
+            cases.append((runs, 11, 3, t))
+        for runs, n, k, t in cases:
             ss = range(1, k + 1)
-            runs = edge_runs(edges)
             got = list(component_shadows(runs, t, ss, k))
             comps, t_runs = _component_indices(runs, t)
             assert [comp for comp, _ in got] == comps
+            edges = run_edges(runs)  # run by run, so each run's edges are consecutive
+            first = [0]
+            for _, low in runs:
+                first.append(first[-1] + low.bit_count())
+            assert sorted(tuple(e for i in comp for e in range(first[i], first[i + 1])) for comp in comps) == (
+                naive_components(edges, t)
+            )
             for comp, comp_t_runs in zip(comps, t_runs):
                 # each t-set of the component once: the popcounts add up to the set
                 t_sets = {key | 1 << (v - 1) for key, bits in comp_t_runs for v in mask_to_vertices(bits)}
                 assert sum(bits.bit_count() for _, bits in comp_t_runs) == len(t_sets)
                 assert t_sets == shadow_members(run_edges(runs[i] for i in comp), t, k)
             for comp, counts in got:
-                h = Hypergraph(n, k, run_edges(runs[i] for i in comp))
-                assert counts == tuple(len(shadow(h, s)) for s in ss)
+                comp_edges = run_edges(runs[i] for i in comp)
+                assert counts == tuple(len(shadow_members(comp_edges, s, k)) for s in ss), (n, k, t)
 
 
 def shadow_members(masks, s, k):
