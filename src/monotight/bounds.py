@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .core import _check_r, _check_tsk
+from .core import _check_r, _check_s, _check_tsk
 
 # the largest k kk_root takes: each of its Newton steps sums 2k terms
 KK_MAX_K = 100_000
@@ -56,8 +56,7 @@ def kk_root(m: float, k: int) -> float:
 def kk_shadow_bound(m: int, k: int, s: int) -> float:
     """Shadow lower bound: a k-graph with m edges has at least this many
     s-subsets covered by its edges."""
-    if not 1 <= s <= k:
-        raise ValueError(f"need 1 <= s <= k, got s={s}, k={k}")
+    _check_s(k, s)
     return binom_real(kk_root(m, k), s)
 
 

@@ -15,7 +15,7 @@ import math
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .core import Coloring, _kset_count, _subset_ranks, colex_edges, mask_to_vertices
+from .core import Coloring, _colex_sums, _kset_count, _subset_ranks, colex_edges, mask_to_vertices
 from .designs import SteinerSystem
 
 
@@ -45,16 +45,7 @@ def _partition_coloring(
     for v, p in enumerate(part):
         if len(members.setdefault(p, [])) < k:
             members[p].append(1 << v)
-    # keys of the (k-1)-sets in colex order: the j-sets with top vertex m are
-    # the first C(m-1, j-1) (j-1)-sets, each plus m
-    weights = [k**p for p in part]
-    keys = weights
-    for j in range(2, k):
-        keys = [
-            key
-            for m in range(j, n + 1)
-            for key in map(weights[m - 1].__add__, keys[: math.comb(m - 1, j - 1)])
-        ]
+    keys = _colex_sums([k**p for p in part], k - 1)  # of the (k-1)-sets, in colex order
     if r <= 255 and max(part) <= 255:
         part, colors, blank = bytes(part), bytearray(), bytearray(256).copy
         expand = bytes.translate

@@ -98,31 +98,34 @@ def colex_edges(n: int, k: int) -> Iterator[int]:
     Colex order is increasing-mask order, so the k-sets topped by vertex
     v+1 are bit v or'ed onto each (k-1)-set of the vertices below it, in
     their colex order: the first C(v, k-1) of the (k-1)-subsets of {1..n-1}.
-    Those C(n-1, k-1) masks are listed once, as the sums of
-    `itertools.combinations` of the bits from the highest down, which come
-    in descending colex order, reversed. Each top vertex then yields one
-    `map` over a prefix of that list.
+    Those C(n-1, k-1) masks are listed once (`_colex_sums` of the bits), and
+    each top vertex then yields one `map` over a prefix of that list.
     """
     if k < 0 or k > n:
         return
     if k == 0:
         yield 0
         return
-    below = list(map(sum, combinations([1 << v for v in range(n - 2, -1, -1)], k - 1)))
-    below.reverse()
+    below = _colex_sums([1 << v for v in range(n - 1)], k - 1)
     for v in range(k - 1, n):
         yield from map((1 << v).__or__, below[: math.comb(v, k - 1)])
+
+
+def _colex_sums(weights: Sequence[int], j: int) -> list[int]:
+    """For each j-subset of the positions of weights, in colex order, the sum
+    of its weights. `itertools.combinations` of the weights taken from the
+    last down gives the j-subsets in descending colex order."""
+    sums = list(map(sum, combinations(weights[::-1], j)))
+    sums.reverse()
+    return sums
 
 
 def _sub_masks(mask: int, j: int) -> list[int]:
     """The j-subsets of the vertex set `mask`, as masks.
 
-    j = 0 gives the empty set. j = 1 and j = |mask| - 1 peel the low bits
-    once, yielding each bit or the mask without it; other sizes sum
-    combinations of the bits.
+    j = 1 and j = |mask| - 1 peel the low bits once, yielding each bit or
+    the mask without it; other sizes sum combinations of the bits.
     """
-    if not j:
-        return [0]
     flip = mask if j == mask.bit_count() - 1 else 0
     if not flip and j != 1:
         return list(map(sum, combinations(_sub_masks(mask, 1), j)))
@@ -154,11 +157,19 @@ def _check_r(r: int) -> None:
         raise ValueError("r must be at least 1")
 
 
-def _check_tsk(k: int, t: int, s: int) -> None:
+def _check_t(k: int, t: int) -> None:
     if not 1 <= t <= k - 1:
         raise ValueError(f"need 1 <= t <= k-1, got t={t}, k={k}")
+
+
+def _check_s(k: int, s: int) -> None:
     if not 1 <= s <= k:
         raise ValueError(f"need 1 <= s <= k, got s={s}, k={k}")
+
+
+def _check_tsk(k: int, t: int, s: int) -> None:
+    _check_t(k, t)
+    _check_s(k, s)
 
 
 @dataclass(frozen=True)
@@ -366,12 +377,9 @@ def t_tight_components(h: Hypergraph, t: int) -> list[list[int]]:
     as lists of indices into h.edges, each ascending and ordered by first index.
     They are found on h's runs and mapped back by top; runs are numbered by
     their first edge, so the order of the components carries over."""
-    if not 1 <= t <= h.k - 1:
-        raise ValueError(f"need 1 <= t <= k-1, got t={t}, k={h.k}")
+    _check_t(h.k, t)
     runs = edge_runs(h.edges)
     found = _component_indices(runs, t)[0]
-    if len(found) == 1:  # a connected h needs no map back
-        return [list(range(len(h.edges)))]
     comps: list[list[int]] = []
     comp_of: dict[int, list[int]] = {}  # top -> its component's edge indices
     for comp in found:
@@ -394,8 +402,7 @@ def _shadow_members(runs: Iterable[tuple[int, int]], s: int) -> dict[int, int]:
 
 def shadow(h: Hypergraph, s: int) -> set[int]:
     """The s-shadow of h: the s-subsets of {1..n} in at least one edge, as masks."""
-    if not 1 <= s <= h.k:
-        raise ValueError(f"need 1 <= s <= k, got s={s}, k={h.k}")
+    _check_s(h.k, s)
     members = set()
     for key, bits in _shadow_members(edge_runs(h.edges), s).items():
         while bits:
@@ -475,8 +482,6 @@ def component_shadows(
 
     A generator: a caller that stops early skips the remaining components.
     """
-    if not runs:
-        return
     # An s-subset of an edge with s <= t lies in one of its t-subsets, so for
     # s <= t the shadow comes from the component's runs of t-sets.
     comps, comp_t_runs = _component_indices(runs, t)

@@ -160,17 +160,10 @@ def partition_blocks(
     elif order == "complement-paired":
         full = (1 << system.n) - 1
         index_of = {b: i for i, b in enumerate(blocks)}
-        sequence = []
-        placed = set()
-        for i, b in enumerate(blocks):
-            if i in placed:
-                continue
-            sequence.append(i)
-            placed.add(i)
-            comp = index_of.get(full ^ b)
-            if comp is not None and comp not in placed:
-                sequence.append(comp)
-                placed.add(comp)
+        # each block, then its complement; a later copy of either is dropped
+        sequence = list(
+            dict.fromkeys(j for i, b in enumerate(blocks) for j in (i, index_of.get(full ^ b, i)))
+        )
     else:
         raise ValueError(f"unknown order {order!r}")
     classes: list[list[int]] = []

@@ -7,12 +7,12 @@ holding one color each in colex edge order (compact) or lines
 first line "n h k", then one block per line. Lines starting with '#' are
 comments everywhere.
 
-The writer's compact form for r <= 9, one ASCII digit and "\n" per line
-with nothing else after the header, is read in bulk as bytes. Other compact
-lines, two-digit colors included, go through `int` in bulk chunks; only the
-first line that `int` rejects, such as a comment, a blank line or an explicit
-line, hands the rest of the body to the line loop. Every form gives the same
-colors and the same errors.
+A coloring has two readers. A body exactly as the writer emits it, C(n,k)
+ASCII lines of digits each ended by "\n" and nothing else, is read in bulk
+for every r: as bytes when each color is one digit, else through one `int`
+per line. Any other body, such as one with a comment, a blank or padded
+line or an explicit line, is read by the line loop from its first line.
+Both give the same colors and the same errors.
 
 Colors are checked once, when `Coloring` is built, and stored as bytes
 (r <= 255) or a tuple. The writer takes them as stored, and the reader
@@ -28,7 +28,7 @@ from __future__ import annotations
 import io
 import math
 import sys
-from itertools import chain, islice
+from itertools import chain
 from typing import Callable, Iterable, TextIO, TypeVar
 
 from .core import (
@@ -47,7 +47,6 @@ class FormatError(ValueError):
 
 T = TypeVar("T")
 
-_CHUNK = 1 << 14  # lines per bulk conversion in read_coloring
 _DIGITS = b"0123456789"
 _DIGIT_VALUES = bytes.maketrans(_DIGITS, bytes(range(10)))
 _DIGIT_CHARS = bytes.maketrans(bytes(range(10)), _DIGITS)
@@ -137,39 +136,35 @@ def write_coloring(c: Coloring, fh: TextIO) -> None:
 def read_coloring(fh: TextIO) -> Coloring:
     lineno, (n, k, r) = _header(fh, "coloring", "n k r")
     m = math.comb(n, k)
-    # The writer's form: m lines, each one ASCII digit and "\n", so exactly
-    # 2m characters. Reading one more tells a longer body apart; its colors
-    # are the even bytes.
-    prefix = fh.read(min(2 * m + 1, sys.maxsize))
-    if len(prefix) == 2 * m and prefix.isascii():
+    # The writer's form: m lines, each a color of at most as many digits as
+    # r and "\n". Reading one character past its longest body tells a longer
+    # body apart. With one digit per line it is exactly 2m characters, and
+    # its colors are the even bytes.
+    size = min((len(str(r)) + 1) * m + 1, sys.maxsize)
+    prefix = fh.read(size)
+    if len(prefix) < size and prefix.isascii():
         raw = prefix.encode("ascii")
-        digits = raw[::2]
-        if raw[1::2] == b"\n" * m and not digits.translate(None, _DIGITS):
-            return _checked(Coloring, n, k, r, digits.translate(_DIGIT_VALUES))
-    # Otherwise the lines as the stream gives them: the prefix completed to
-    # a line end, split at "\n" (which a text file opened in Python's default
-    # mode ends each line with), then the rest of the stream. int() parses a
-    # raw line exactly when the loop below would read it as one compact
-    # color, so runs of such lines convert in bulk. The first other line
-    # hands over to the loop, at its own line number.
-    if prefix and not prefix.endswith("\n"):
-        prefix += fh.readline()
-    lines = chain(io.StringIO(prefix), fh)
+        if len(raw) == 2 * m:
+            digits = raw[::2]
+            if raw[1::2] == b"\n" * m and not digits.translate(None, _DIGITS):
+                return _checked(Coloring, n, k, r, digits.translate(_DIGIT_VALUES))
+        elif (
+            raw.count(b"\n") == m
+            and raw.endswith(b"\n")
+            and not raw.startswith(b"\n")
+            and b"\n\n" not in raw
+            and raw.translate(None, b"\n").isdigit()
+        ):
+            return _checked(Coloring, n, k, r, list(map(int, io.BytesIO(raw))))
+    # Otherwise the line loop reads the body: the prefix completed to a line
+    # end and split at "\n" (which a text file opened in Python's default
+    # mode ends each line with), then the rest of the stream.
+    lines = chain(io.StringIO(prefix + fh.readline()), fh)
     del prefix  # the StringIO keeps its own copy
     compact: list[int] = []
-    rest: Iterable[str] = ()
-    while chunk := list(islice(lines, _CHUNK)):
-        done = len(compact)
-        try:
-            compact.extend(map(int, chunk))
-        except ValueError:
-            # CPython's list.extend keeps the items appended before the
-            # error, so the first line it could not parse is at this offset.
-            rest = chain(chunk[len(compact) - done :], lines)
-            break
     explicit: dict[int, int] = {}
-    mode = "compact" if compact else None
-    for lineno, line in _data_lines(rest, start=lineno + len(compact) + 1):
+    mode = None
+    for lineno, line in _data_lines(lines, start=lineno + 1):
         vs = _ints(line, lineno)
         if len(vs) == 1:
             kind = "compact"

@@ -193,9 +193,7 @@ def test_compact_coloring_with_comments_and_blank_lines():
     assert list(read_coloring(io.StringIO(text)).colors) == [1, 2, 1, 2]
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 14])
-def test_compact_reader_names_the_bad_line(monkeypatch, chunk):
-    monkeypatch.setattr(fileio, "_CHUNK", chunk)
+def test_compact_reader_names_the_bad_line():
     with pytest.raises(FormatError) as exc:
         read_coloring(io.StringIO("4 3 2\n1\n2\n1x\n2\n"))
     assert "line 4" in str(exc.value) and "1x" in str(exc.value)
@@ -204,6 +202,29 @@ def test_compact_reader_names_the_bad_line(monkeypatch, chunk):
     assert "line 5" in str(exc.value)
     text = "4 3 2\n" + "1\n" * 3 + "# c\n1\n"
     assert list(read_coloring(io.StringIO(text)).colors) == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("r", [2, 9, 10, 12, 38, 300])
+def test_writers_form_is_read_in_bulk(monkeypatch, r):
+    colors = [1 + i % r for i in range(math.comb(7, 3))]
+    colors[-1] = r  # a color of r's full width
+    c = Coloring(7, 3, r, colors)
+    buf = io.StringIO()
+    write_coloring(c, buf)
+    buf.seek(0)
+    # the header is the one data line the line reader may give
+    data_lines = fileio._data_lines
+    calls = []
+
+    def header_only(raw_lines, start=1):
+        calls.append(start)
+        assert len(calls) == 1, "the writer's form fell back to the line loop"
+        return data_lines(raw_lines, start)
+
+    monkeypatch.setattr(fileio, "_data_lines", header_only)
+    got = read_coloring(buf)
+    assert (got.n, got.k, got.r, got.colors) == (c.n, c.k, c.r, c.colors)
+    assert calls == [1]
 
 
 def test_coloring_rejects_explicit_then_compact():
