@@ -193,14 +193,17 @@ def test_compact_coloring_with_comments_and_blank_lines():
     assert list(read_coloring(io.StringIO(text)).colors) == [1, 2, 1, 2]
 
 
-def test_compact_reader_names_the_bad_line():
+# r sets how many characters the reader takes before the line loop: for
+# r <= 9 that read ends inside these bodies, for r = 16384 it runs past them
+@pytest.mark.parametrize("r", [1, 2, 3, 1 << 14])
+def test_compact_reader_names_the_bad_line(r):
     with pytest.raises(FormatError) as exc:
-        read_coloring(io.StringIO("4 3 2\n1\n2\n1x\n2\n"))
+        read_coloring(io.StringIO(f"4 3 {r}\n1\n2\n1x\n2\n"))
     assert "line 4" in str(exc.value) and "1x" in str(exc.value)
     with pytest.raises(FormatError) as exc:
-        read_coloring(io.StringIO("4 3 2\n1\n# c\n2\nx\n2\n"))
+        read_coloring(io.StringIO(f"4 3 {r}\n1\n# c\n2\nx\n2\n"))
     assert "line 5" in str(exc.value)
-    text = "4 3 2\n" + "1\n" * 3 + "# c\n1\n"
+    text = f"4 3 {r}\n" + "1\n" * 3 + "# c\n1\n"
     assert list(read_coloring(io.StringIO(text)).colors) == [1, 1, 1, 1]
 
 
