@@ -25,9 +25,9 @@ def all_red(n: int, k: int, r: int) -> Coloring:
 
 
 def _partition_coloring(
-    n: int, k: int, r: int, part: Sequence[int], rule: Callable[[int], int]
+    k: int, r: int, part: Sequence[int], rule: Callable[[int], int]
 ) -> Coloring:
-    """The r-coloring of K^k_n that gives edge e the color rule(e).
+    """The r-coloring of K^k_n, n = len(part), that gives edge e the color rule(e).
 
     part[v-1] is vertex v's part, a nonnegative int, and rule(e) must depend
     only on how many vertices e has in each part. As in `core.color_runs`,
@@ -41,6 +41,7 @@ def _partition_coloring(
     top. Such a v is among part p's first k vertices unless top holds all of
     part p, and then so does every top with that key, and no block reads p.
     """
+    n = len(part)
     members: dict[int, list[int]] = {}  # part -> its first k vertices, as bits
     for v, p in enumerate(part):
         if len(members.setdefault(p, [])) < k:
@@ -71,7 +72,7 @@ def _two_part_coloring(n: int, a: int, by_count: tuple[int, ...]) -> Coloring:
         raise ValueError("n must be at least 3")
     inside = (1 << a) - 1
     return _partition_coloring(
-        n, 3, 2, [0] * a + [1] * (n - a), lambda e: by_count[(e & inside).bit_count()]
+        3, 2, [0] * a + [1] * (n - a), lambda e: by_count[(e & inside).bit_count()]
     )
 
 
@@ -108,7 +109,7 @@ def blow_up(c0: Coloring, n: int) -> Coloring:
     base = dict(zip(colex_edges(n0, k), c0.colors))
     num_parts = n0 - k + 1
     return _partition_coloring(
-        n, k, c0.r, [v % num_parts for v in range(n)], lambda e: base[padded_index_set(e, n0, k)]
+        k, c0.r, [v % num_parts for v in range(n)], lambda e: base[padded_index_set(e, n0, k)]
     )
 
 

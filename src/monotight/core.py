@@ -5,8 +5,10 @@ vertex v; Python integers are arbitrary-width, so the same representation
 covers every n. Edge order is always colex: ranks, witnesses and file
 formats all refer to it. Colex order of k-subsets is increasing order of
 their bitmasks, so the k-sets topped by vertex v follow all those below it,
-and among themselves run in the colex order of their other k-1 vertices:
-`colex_edges` yields them a chunk per top vertex.
+and among themselves run in the colex order of their other k-1 vertices.
+`_colex_sums` is the one walk over j-subsets, a chunk per top, and
+`_sub_masks(mask, 1)` the one bit peel; only `_run_keys` inlines its own
+walks, for j <= 1, and `_subset_ranks` lists colex ranks, not masks.
 
 Components and shadows are computed on runs, not on single edges. For a
 (k-1)-set `top` with lowest vertex a >= 2, the edges top | x with x < a
@@ -47,12 +49,7 @@ def vertices_to_mask(vertices: Iterable[int]) -> int:
 def mask_to_vertices(mask: int) -> tuple[int, ...]:
     if mask < 0:
         raise ValueError(f"a vertex mask is nonnegative, got {mask}")
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return tuple(out)
+    return tuple(map(int.bit_length, _sub_masks(mask, 1)))
 
 
 def colex_rank(edge: int | Iterable[int], n: int, k: int) -> int:
@@ -92,43 +89,39 @@ def colex_unrank(rank: int, n: int, k: int) -> int:
     return mask
 
 
-def colex_edges(n: int, k: int) -> Iterator[int]:
-    """All k-subsets of {1..n} as bitmasks, in colex order.
-
-    Colex order is increasing-mask order, so the k-sets topped by vertex
-    v+1 are bit v or'ed onto each (k-1)-set of the vertices below it, in
-    their colex order: the first C(v, k-1) of the (k-1)-subsets of {1..n-1}.
-    Those C(n-1, k-1) masks are listed once (`_colex_sums` of the bits), and
-    each top vertex then yields one `map` over a prefix of that list.
-    """
-    if k < 0 or k > n:
-        return
-    if k == 0:
-        yield 0
-        return
-    below = _colex_sums([1 << v for v in range(n - 1)], k - 1)
-    for v in range(k - 1, n):
-        yield from map((1 << v).__or__, below[: math.comb(v, k - 1)])
+def colex_edges(n: int, k: int) -> list[int]:
+    """All k-subsets of {1..n} as bitmasks, in colex order (increasing mask
+    order): `_colex_sums` of the vertex bits, or [] for k outside [0, n]."""
+    return _colex_sums([1 << v for v in range(n)], k) if 0 <= k <= n else []
 
 
 def _colex_sums(weights: Sequence[int], j: int) -> list[int]:
     """For each j-subset of the positions of weights, in colex order, the sum
-    of its weights. `itertools.combinations` of the weights taken from the
-    last down gives the j-subsets in descending colex order."""
-    sums = list(map(sum, combinations(weights[::-1], j)))
-    sums.reverse()
+    of its weights. The j-subsets topped by position v are weights[v] plus
+    each (j-1)-subset below v: the first C(v, j-1) sums, in colex order, of
+    the (j-1)-subsets of all positions but the last, listed once by
+    `itertools.combinations` of those weights taken from the last down
+    (descending colex order) and reversed."""
+    if not j:
+        return [0]
+    below = list(map(sum, combinations(weights[-2::-1], j - 1)))
+    below.reverse()
+    sums = []
+    for v in range(j - 1, len(weights)):
+        sums += map(weights[v].__add__, below[: math.comb(v, j - 1)])
     return sums
 
 
 def _sub_masks(mask: int, j: int) -> list[int]:
     """The j-subsets of the vertex set `mask`, as masks.
 
-    j = 1 and j = |mask| - 1 peel the low bits once, yielding each bit or
-    the mask without it; other sizes sum combinations of the bits.
+    j = 1 peels the low bits once, yielding each bit, ascending, and
+    j = |mask| - 1 > 1 the mask without each; other sizes are `_colex_sums`
+    of the bits.
     """
-    flip = mask if j == mask.bit_count() - 1 else 0
+    flip = mask if 1 < j == mask.bit_count() - 1 else 0
     if not flip and j != 1:
-        return list(map(sum, combinations(_sub_masks(mask, 1), j)))
+        return _colex_sums(_sub_masks(mask, 1), j)
     out = []
     rest = mask
     while rest:
@@ -207,7 +200,7 @@ class Hypergraph:
 
     @classmethod
     def complete(cls, n: int, k: int) -> "Hypergraph":
-        return cls(n, k, list(colex_edges(n, k)))
+        return cls(n, k, colex_edges(n, k))
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -257,12 +250,13 @@ class MeasureResult:
 
     @property
     def witness_component(self) -> frozenset[int]:
-        """The colex ranks of the witness's edges. Edge top | x has rank
-        base + (bit index of x), where base is the colex rank of top | 1."""
+        """The colex ranks of the witness's edges. The edges top | x sit at
+        consecutive ranks from top | 1, so top | x, x the bit of vertex v,
+        has rank colex_rank(top | 1) - 1 + v."""
         ranks = []
         for top, low in self.witness_runs:
-            base = sum(math.comb(u - 1, i + 2) for i, u in enumerate(mask_to_vertices(top)))
-            ranks += (base + j for j in range(low.bit_length()) if low >> j & 1)
+            base = colex_rank(top | 1, top.bit_length(), top.bit_count() + 1) - 1
+            ranks += map(base.__add__, mask_to_vertices(low))
         return frozenset(ranks)
 
 
@@ -405,10 +399,7 @@ def shadow(h: Hypergraph, s: int) -> set[int]:
     _check_s(h.k, s)
     members = set()
     for key, bits in _shadow_members(edge_runs(h.edges), s).items():
-        while bits:
-            low = bits & -bits
-            members.add(key | low)
-            bits ^= low
+        members.update(map(key.__or__, _sub_masks(bits, 1)))
     return members
 
 

@@ -31,7 +31,7 @@ SLACK = 1e-9
 def random_hypergraph(n: int, k: int, rng: random.Random) -> Hypergraph:
     """Non-empty k-graph on {1..n}: each edge kept with one shared random
     probability (re-drawn until at least one edge survives)."""
-    all_edges = list(colex_edges(n, k))
+    all_edges = colex_edges(n, k)
     while True:
         p = rng.random()
         edges = [e for e in all_edges if rng.random() < p]
@@ -172,7 +172,7 @@ def _padded_intersection_violations(n: int, n0: int, k: int) -> tuple[int, list[
     sets are compared; there are at most C(n0, k) of those, whatever n is.
     A pair found through several S is reported once.
     """
-    edges = list(colex_edges(n, k))
+    edges = colex_edges(n, k)
     padded = [padded_index_set(e, n0, k) for e in edges]
     through: dict[int, list[int]] = {}  # j-set S -> indices of the edges containing S
     for i, e in enumerate(edges):

@@ -154,6 +154,8 @@ def test_fg_vertex_bound():
     assert bounds.fg_vertex_bound(9, 4, 2) == (3, 3.0)
     assert bounds.fg_vertex_bound(10, 1, 3) == (1, 10.0)
     assert bounds.fg_vertex_bound(16, 5, 3) == (2, 8.0)
+    with pytest.raises(ValueError, match="^k must be at least 2$"):
+        bounds.fg_vertex_bound(9, 4, 1)
 
 
 def _fg_sum(q, k):
@@ -194,6 +196,8 @@ def test_reference_bounds():
     assert bounds.reference_bounds(10, 2)["component_edges"] == pytest.approx(
         math.comb(10, 2) / 3.25
     )
+    with pytest.raises(ValueError, match="^r must be at least 2$"):
+        bounds.reference_bounds(10, 1)
 
 
 def test_special_constants_residuals():

@@ -313,6 +313,14 @@ def test_search_nonpositive_budget_exits_2(capsys, budget):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("q", [1, 9])
+def test_affine_plane_of_order_not_prime_exits_2(capsys, q):
+    assert exit_code("design", f"ap{q}") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: q must be prime, got {q}\n"
+
+
 def test_verify_r2a_oversized_case_exits_2(capsys):
     # C(8, 4) = 70 edges would mean 2^69 colorings
     assert exit_code("verify", "r2a", "--n", "8", "--k", "4", "--t", "1", "--s", "2") == 2
@@ -566,6 +574,16 @@ def test_size_past_index_range_exits_2(tmp_path, capsys, case):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {size} = ") and captured.err.count("\n") == 1
     assert "internal" not in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("given", [["--k", "3"], ["--r", "2"], []])
+def test_construct_all_red_without_r_or_k_exits_2(tmp_path, capsys, given):
+    out = tmp_path / "x.col"
+    assert main(["construct", "all_red", "--n", "5", *given, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: all_red requires --r and --k\n"
     assert not out.exists()
 
 

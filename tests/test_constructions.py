@@ -191,7 +191,7 @@ def test_partition_coloring_matches_its_rule(k):
                         return table.setdefault(counts, rng.randint(1, r))
 
                     want = list(map(rule, colex_edges(n, k)))
-                    c = _partition_coloring(n, k, r, part, rule)
+                    c = _partition_coloring(k, r, part, rule)
                     assert (c.n, c.k, c.r) == (n, k, r)
                     assert list(c.colors) == want, (k, p, r, offset, n)
 

@@ -131,6 +131,9 @@ class TestColexRanking:
             for j in range(len(vs) + 1):
                 want = sorted(vertices_to_mask(c) for c in combinations(vs, j))
                 assert sorted(_sub_masks(mask, j)) == want, (mask, j)
+        # one bit peel: j = 1 lists the bits ascending, two-bit masks included
+        assert _sub_masks(0b11, 1) == [0b01, 0b10]
+        assert mask_to_vertices((1 << 69) | (1 << 3)) == (4, 70)
 
     def test_subset_ranks_are_the_ranks_in_descending_colex_order(self):
         for mask in (0b1, 0b11, 0b1011, 0b110101, 0b11111, 0b1101100010111, 1 << 70 | 1 << 64 | 0b101):
@@ -159,6 +162,8 @@ class TestHypergraph:
             Hypergraph.from_vertex_lists(5, 3, [[1, 2, 6]])
         with pytest.raises(ValueError):
             Hypergraph.from_vertex_lists(5, 3, [[1, 2, 3], [3, 2, 1]])
+        with pytest.raises(ValueError, match="^vertex indices are 1-based, got 0$"):
+            Hypergraph.from_vertex_lists(5, 3, [[0, 1, 2]])
 
     def test_duplicate_past_vertex_61_is_refused(self):
         # an int hashes as itself mod 2^61 - 1, so the masks of {62, 63, 64}
@@ -432,6 +437,11 @@ class TestColorBuckets:
         # k > n would be an edgeless K^k_n whose every measure reads 0
         with pytest.raises(ValueError, match=f"need 2 <= k <= n, got k={k}, n={n}"):
             Coloring(n, k, 2, [1] * math.comb(n, k))
+
+    @pytest.mark.parametrize("m", [9, 11])
+    def test_coloring_needs_c_n_k_colors(self, m):
+        with pytest.raises(ValueError, match=rf"^expected C\(5,3\)=10 colors, got {m}$"):
+            Coloring(5, 3, 2, [1] * m)
 
 
 def min_max_rule(colors, r):

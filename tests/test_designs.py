@@ -35,8 +35,10 @@ def test_affine_plane_valid(q, classes):
 def test_affine_plane_rejects_composite():
     with pytest.raises(ValueError):
         affine_plane(4)
-    with pytest.raises(ValueError):
-        affine_plane(1)
+    # 1 is below the least prime; 9 is the least odd composite, found by trial division
+    for q in (1, 9):
+        with pytest.raises(ValueError, match=f"^q must be prime, got {q}$"):
+            affine_plane(q)
 
 
 def test_affine_plane_past_61_vertices_builds_in_time():
