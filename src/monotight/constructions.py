@@ -15,7 +15,7 @@ import math
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .core import Coloring, _colex_sums, _kset_count, _subset_ranks, colex_edges, mask_to_vertices
+from .core import Coloring, _colex_sums, _kset_count, _sub_masks, _subset_ranks, colex_edges, mask_to_vertices
 from .designs import SteinerSystem
 
 
@@ -119,8 +119,8 @@ def padded_index_set(e: int, n0: int, k: int) -> int:
     {1..n0}. `blow_up` colors e by this base edge, whatever its n."""
     num_parts = n0 - k + 1
     parts_mask = 0
-    for v in mask_to_vertices(e):
-        parts_mask |= 1 << ((v - 1) % num_parts)
+    for bit in _sub_masks(e, 1):
+        parts_mask |= 1 << ((bit.bit_length() - 1) % num_parts)
     pad = k - parts_mask.bit_count()
     return parts_mask | (((1 << pad) - 1) << num_parts)
 

@@ -428,40 +428,38 @@ def color_runs(c: Coloring) -> dict[int, list[tuple[int, int]]]:
     the x whose edges have color i, one run per top in colex order; a top
     whose block holds no edge of color i gives no run.
 
-    Up to 255 colors, the coloring stores its colors as bytes: each color's
-    block is one `int(..., 2)` of a byte slice of them, and the last color
-    that occurs is the rest of the block. Above 255, the colors are a tuple:
-    each color's edges are bucketed and merged by `edge_runs` into the same runs.
+    Up to 255 colors, the coloring stores its colors as bytes: each block is
+    one slice of them, read by one `translate` and `int(..., 2)` per color
+    that occurs but the last, which takes the rest. Above 255, the colors are
+    a tuple: each color's edges are bucketed and merged by `edge_runs` into the same runs.
     """
     if c.r > 255:
         buckets: dict[int, list[int]] = {col: [] for col in sorted(set(c.colors))}
         for e, col in zip(colex_edges(c.n, c.k), c.colors):
             buckets[col].append(e)
         return {col: edge_runs(masks) for col, masks in buckets.items()}
-    m = len(c.colors)
-    blocks = []  # (top, slice start, slice end)
-    base = 0
-    for top in colex_edges(c.n, c.k - 1):
-        size = (top & -top).bit_length() - 1
-        if size:
-            blocks.append((top, m - base - size, m - base))
-        base += size
     # int(..., 2) reads the last character as bit 0, so the colors are
     # reversed: the last character of a block's slice is the edge top | 1
     reverse = c.colors[::-1]
-    rest = [(1 << (hi - lo)) - 1 for _, lo, hi in blocks]
     # `in` on bytes is a memchr that stops at the first hit
     *each, last = [col for col in range(1, c.r + 1) if col in reverse]
-    runs: dict[int, list[tuple[int, int]]] = {}
-    for col in each:
-        bits = reverse.translate(b"0" * col + b"1" + b"0" * (255 - col))
-        col_runs = runs[col] = []
-        for i, (top, lo, hi) in enumerate(blocks):
-            low = int(bits[lo:hi], 2)
-            if low:
-                col_runs.append((top, low))
-                rest[i] ^= low
-    runs[last] = [(top, low) for (top, _, _), low in zip(blocks, rest) if low]
+    runs: dict[int, list[tuple[int, int]]] = {col: [] for col in (*each, last)}
+    tables = [(b"0" * col + b"1" + b"0" * (255 - col), runs[col].append) for col in each]
+    add_rest = runs[last].append
+    hi = len(reverse)
+    for top in colex_edges(c.n, c.k - 1):
+        size = (top & -top).bit_length() - 1
+        if size:
+            block = reverse[hi - size : hi]
+            hi -= size
+            rest = (1 << size) - 1
+            for table, add in tables:
+                low = int(block.translate(table), 2)
+                if low:
+                    add((top, low))
+                    rest ^= low
+            if rest:
+                add_rest((top, rest))
     return runs
 
 
@@ -495,12 +493,20 @@ def measure(c: Coloring, t: int, s: int) -> MeasureResult:
     color's edges are held as runs (`color_runs`), about C(n, k-1) per color,
     not as C(n, k) edge masks, and the witness keeps the winning component's
     runs; only `MeasureResult.witness_component` expands them into ranks.
+    A component whose s-shadow is all C(n, s) s-sets ends the scan: later
+    colors and components can at best tie, and a tie keeps the first.
     """
     k = c.k
     _check_tsk(k, t, s)
-    best: tuple[int, int, tuple[tuple[int, int], ...]] = (0, 0, ())
+    full = math.comb(c.n, s)
+    best, found = 0, (0, [], [])
     for col, col_runs in color_runs(c).items():
         for comp, (cnt,) in component_shadows(col_runs, t, (s,), k):
-            if cnt > best[0]:
-                best = (cnt, col, tuple(col_runs[i] for i in comp))
-    return MeasureResult(*best)
+            if cnt > best:
+                best, found = cnt, (col, col_runs, comp)
+                if cnt == full:
+                    break
+        if best == full:
+            break
+    col, col_runs, comp = found
+    return MeasureResult(best, col, tuple(col_runs[i] for i in comp))

@@ -147,10 +147,19 @@ PADDED_CASES = [
 ]
 
 
+def literal_padded_index_set(e, n0, k):
+    """phi(I_e) from its vertices: the parts (v-1) mod (n0-k+1) as vertices
+    of {1..n0}, then the lowest reserved vertices until there are k."""
+    num_parts = n0 - k + 1
+    parts = sorted({(v - 1) % num_parts + 1 for v in mask_to_vertices(e)})
+    return vertices_to_mask(parts + list(range(num_parts + 1, num_parts + 1 + k - len(parts))))
+
+
 def test_blow_up_intersection_invariant():
     for k, n0, n in PADDED_CASES:
         edges = list(colex_edges(n, k))
         padded = [padded_index_set(e, n0, k) for e in edges]
+        assert padded == [literal_padded_index_set(e, n0, k) for e in edges], (k, n0, n)
         assert set(padded) <= set(colex_edges(n0, k))
         for i, (e, pe) in enumerate(zip(edges, padded)):
             for f, pf in zip(edges[i + 1 :], padded[i + 1 :]):

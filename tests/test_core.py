@@ -27,7 +27,7 @@ from monotight.core import (
     _sub_masks,
     _subset_ranks,
 )
-from monotight import fileio
+from monotight import core, fileio
 from monotight.constructions import all_red, majority_coloring, parity_coloring
 from monotight.properties import _max_shadow_by_ts
 from monotight.search import random_coloring
@@ -77,6 +77,17 @@ def naive_measure(c, t, s):
             cnt = len(shadow(Hypergraph(c.n, c.k, [edges[ranks[i]] for i in comp]), s))
             if best[1] == 0 or cnt > best[0]:
                 best = (cnt, col, frozenset(ranks[i] for i in comp))
+    return best
+
+
+def full_scan(c, t, s):
+    """measure with no early stop: every color and every component, the
+    first strictly larger shadow kept, as (value, color, runs)."""
+    best = (0, 0, ())
+    for col, col_runs in color_runs(c).items():
+        for comp, (cnt,) in component_shadows(col_runs, t, (s,), c.k):
+            if cnt > best[0]:
+                best = (cnt, col, tuple(col_runs[i] for i in comp))
     return best
 
 
@@ -351,6 +362,20 @@ def shadow_members(masks, s, k):
     return members
 
 
+def one_pass_colorings():
+    """Inputs for the single walk over colex blocks in `color_runs`: colors
+    that skip 1 and lie far apart in a byte, a single color, and K^3_70 with a
+    few edges recolored, so that tops pass vertex 61."""
+    rng = random.Random(37)
+    yield Coloring(9, 3, 200, [rng.choice((5, 137, 200)) for _ in range(math.comb(9, 3))])
+    yield Coloring(6, 3, 1, [1] * math.comb(6, 3))
+    yield Coloring(7, 4, 9, [9] * math.comb(7, 4))
+    colors = [1] * math.comb(70, 3)
+    for col, edge in ((2, (60, 62, 70)), (3, (1, 65, 66)), (2, (3, 61, 69)), (3, (68, 69, 70)), (2, (1, 2, 3))):
+        colors[colex_rank(edge, 70, 3)] = col
+    yield Coloring(70, 3, 3, colors)
+
+
 def color_buckets(c):
     """Edge masks and their colex ranks, one list per color, bucket i holding
     color i and bucket 0 empty: the per-edge reference for `color_runs`."""
@@ -377,7 +402,7 @@ class TestColorBuckets:
 
     def test_expanded_runs_are_the_buckets(self):
         # only the colors that occur have an entry, on both color stores
-        for c0 in oracle_colorings():
+        for c0 in (*oracle_colorings(), *one_pass_colorings()):
             for c in (c0, Coloring(c0.n, c0.k, 300, c0.colors)):
                 runs = color_runs(c)
                 masks, ranks = color_buckets(c)
@@ -394,7 +419,7 @@ class TestColorBuckets:
 
     def test_tuple_colors_give_the_bytes_runs(self):
         # above 255 colors the runs are merged by top, as the bytes path gives them
-        for c in oracle_colorings():
+        for c in (*oracle_colorings(), *one_pass_colorings()):
             want = list(color_runs(c).items())
             assert list(color_runs(Coloring(c.n, c.k, 300, c.colors)).items()) == want, (c.n, c.k, c.r)
 
@@ -622,6 +647,43 @@ class TestMeasure:
             assert fileio.read_coloring(io.StringIO(buf.getvalue())) == c
             files.append(buf.getvalue().split("\n", 1))
         assert files[0][1] == files[1][1] == "1\n2\n3\n4\n"
+
+    def test_complete_shadow_stop_matches_a_full_scan(self):
+        # on both color stores: the stop changes no value and no witness
+        for c0 in oracle_colorings():
+            for c in (c0, Coloring(c0.n, c0.k, 300, c0.colors)):
+                for t in range(1, c.k):
+                    for s in range(1, c.k + 1):
+                        res = measure(c, t, s)
+                        got = (res.value, res.witness_color, res.witness_runs)
+                        assert got == full_scan(c, t, s), (c.n, c.k, c.r, t, s)
+
+    def test_complete_shadow_stop_keeps_the_first_color(self):
+        # both colors of majority_coloring(120) touch every vertex at (1, 1)
+        c = majority_coloring(120)
+        per_color = [
+            max(cnt for _, (cnt,) in component_shadows(col_runs, 1, (1,), 3))
+            for col_runs in color_runs(c).values()
+        ]
+        assert per_color == [120, 120]
+        res = measure(c, 1, 1)
+        assert (res.value, res.witness_color) == (120, 1)
+
+    def test_complete_shadow_stops_the_color_scan(self, monkeypatch):
+        # every color of this coloring covers all 12 vertices, so the first
+        # color's component ends the scan
+        c = random_coloring(12, 3, 3, seed=0)
+        for col_runs in color_runs(c).values():
+            assert [cnt for _, (cnt,) in component_shadows(col_runs, 1, (1,), 3)] == [12]
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return component_shadows(*args)
+
+        monkeypatch.setattr(core, "component_shadows", counting)
+        assert measure(c, 1, 1).value == 12
+        assert len(calls) == 1
 
     def test_all_red_spans(self):
         assert measure(all_red(5, 3, 2), 1, 1).value == 5
