@@ -71,24 +71,16 @@ def _initial_incumbent(n: int, r: int, k: int, t: int, s: int) -> tuple[int, Col
 
 
 def _edge_tables(n: int, k: int, t: int, s: int) -> tuple[list[int], list[int]]:
-    """Per-edge bitmask tables over the colex edge indices of K^k_n.
+    """Per-edge bitmask tables over the colex edges e_i of K^k_n.
 
-    adj[i] has bit j set when j < i and |e_i ∩ e_j| >= t: `exact_M` at edge
-    i only meets components of earlier edges. It is built in one ascending
-    pass as the OR, over the t-subsets of e_i, of the mask of earlier edges
-    containing each one. shade[i] has bit j set when the s-set of colex
-    index j lies in e_i, so the s-shadow of an edge set is the OR of its
-    edges' shade masks, and it is complete when all C(n, s) bits are set.
+    adj[i] has bit j set when the t-set of colex rank j lies in e_i, and
+    shade[i] the same over the s-sets. Two edges are t-tight neighbours when
+    they share a t-set, so e_i meets a set of edges exactly when adj[i]
+    meets the OR of their adj masks, their t-shadow. The s-shadow of an edge
+    set is the OR of its shade masks, complete when all C(n, s) bits are set.
     """
-    containing = [0] * math.comb(n, t)  # t-set colex rank -> mask of the edges so far containing it
-    adj, shade = [], []
-    for i, vs in enumerate(map(mask_to_vertices, colex_edges(n, k))):
-        near = 0
-        for rank in _subset_ranks(vs, t):
-            near |= containing[rank]
-            containing[rank] |= 1 << i
-        adj.append(near)
-        shade.append(sum(1 << rank for rank in _subset_ranks(vs, s)))
+    edges = list(map(mask_to_vertices, colex_edges(n, k)))
+    adj, shade = ([sum(1 << rank for rank in _subset_ranks(vs, j)) for vs in edges] for j in (t, s))
     return adj, shade
 
 
@@ -108,28 +100,31 @@ def exact_M(
     increasing index order (cuts the r! color symmetry), so edge i tries
     colors 1..last[i], where last[i] is one above the largest color before
     it, capped at q = min(r, C(n, k)). A component is one int,
-    `shadow << m | edges` with m = C(n, k), over the tables of
-    `_edge_tables`: adj[i] has bits below m only, so `comp & adj[i]` tests
-    whether the component meets edge i, a merge is one `|`, and the size is
-    the popcount of `comp >> m`. A color with at most one component keeps
-    it as a bare int (0: no edges), and only a color that has split keeps a
-    list of them; a list that merges back into one component becomes an int
-    again. Coloring edge i with c merges edge i with every component of c
-    that meets adj[i]. Only on a descent is the old value of c saved, and
-    stepping back restores it, depth by depth, until a depth with a color
-    left to try. A branch is pruned as soon as the running maximum shadow
-    reaches the incumbent, which is sound because adding edges never
-    shrinks components or shadows. A coloring of the last
-    edge that passes that test is a complete coloring below the incumbent,
-    so it becomes the incumbent at once, without a step to depth C(n, k).
-    The search is one loop over the edge depth with per-depth state, so its
-    depth C(n, k) is not bounded by Python's recursion limit. The budget
-    caps the nodes explored; a budget <= 0 explores none and returns the
-    starting construction as a "budget-exhausted" result. With q = 1 the
-    single coloring is one node. At most C(n, k) colors occur in a coloring,
-    so for r above that the search, its nodes and its witness colors are
-    those at r = C(n, k), and its cost does not grow with r; the witness
-    keeps r.
+    `sshadow << T | tshadow` with T = C(n, t), over the tables of
+    `_edge_tables`: edges are t-tight neighbours when they share a t-set, so
+    `comp & adj[i]` tests whether the component meets edge i, a merge is one
+    `|`, and the size is the popcount of `comp >> T`. When s == t the
+    t-shadow is the s-shadow, so T = 0 and a component is its shadow alone.
+    A color with at most one component keeps it as a bare int (0: no
+    edges), and only a color that has split keeps a list of them; a list
+    that merges back into one component becomes an int again. Coloring edge
+    i with c merges edge i with every component of c that meets adj[i].
+    Only on a descent is the old value of c saved, and stepping back
+    restores it, depth by depth, until a depth with a color left to try.
+    The current depth's tables are held in locals, reloaded on a descent or
+    a step back, and color[i] is written only when a node passes the bound.
+    A branch is pruned as soon as the running maximum shadow reaches the
+    incumbent, which is sound because adding edges never shrinks components
+    or shadows. A coloring of the last edge that passes that test is a
+    complete coloring below the incumbent, so it becomes the incumbent at
+    once, without a step to depth C(n, k). The search is one loop over the
+    edge depth with per-depth state, so its depth C(n, k) is not bounded by
+    Python's recursion limit. The budget caps the nodes explored; a budget
+    <= 0 explores none and returns the starting construction as a
+    "budget-exhausted" result. With q = 1 the single coloring is one node.
+    At most C(n, k) colors occur in a coloring, so for r above that the
+    search, its nodes and its witness colors are those at r = C(n, k), and
+    its cost does not grow with r; the witness keeps r.
     """
     _check_args(n, r, k, t, s)
     start = time.perf_counter()
@@ -150,45 +145,47 @@ def exact_M(
         )
 
     adj, shade = _edge_tables(n, k, t, s)
-    own = [covered << m | 1 << i for i, covered in enumerate(shade)]  # edge i alone as a component
+    T = 0 if s == t else math.comb(n, t)  # s == t: the t-shadow is the s-shadow
+    own = [covered << T | near for near, covered in zip(adj, shade)]  # edge i alone as a component
     witness = best_col.colors
-    # comps[c]: the components of color c, each one int `shadow << m | edges`;
+    # comps[c]: the components of color c, each one int `sshadow << T | tshadow`;
     # an int while c has at most one (0: no edges), a list once it has split
     comps: list[int | list[int]] = [0] * (q + 1)
     saved: list[int | list[int]] = [0] * m  # comps[color[i]] before edge i, when the search descended from i
-    color = [0] * m  # color of edge i
+    color = [0] * m  # color of edge i, written when a node passes the bound
     last = [1] * m  # largest color edge i may take: one above the largest before it, at most q
     run_max = [0] * m  # largest component shadow among edges before i
     leaf = m - 1
     nodes = 0
     exhausted = False
     i = c = 0  # c: the color edge i took last, 0 on arrival at depth i
+    # depth i's adj[i], own[i], last[i] and run_max[i]
+    near, base, cap, below = adj[0], own[0], last[0], run_max[0]
     while True:
-        if c == last[i]:
+        if c == cap:
             # no color left at depth i: step back to a depth that has one
             while i:
                 i -= 1
                 c = color[i]
                 comps[c] = saved[i]
-                if c < last[i]:
+                cap = last[i]
+                if c < cap:
                     break
             else:
                 break
+            near, base, below = adj[i], own[i], run_max[i]
         if nodes == limit:
             exhausted = True
             break
         c += 1
-        color[i] = c
         nodes += 1
-        near = adj[i]
-        merged = own[i]
+        merged = base
         old = comps[c]
         if old.__class__ is int:
             if old & near:
-                merged |= old
-                new = merged
+                new = merged = base | old
             else:
-                new = [old, merged] if old else merged
+                new = [old, base] if old else base
         else:
             new = []
             for comp in old:
@@ -200,20 +197,20 @@ def exact_M(
                 new.append(merged)
             else:
                 new = merged
-        size = (merged >> m).bit_count()
-        below = run_max[i]
+        size = (merged >> T).bit_count()
         if size < below:
             size = below
         if size < best:
+            color[i] = c
             if i == leaf:
                 best, witness = size, color.copy()
             else:
                 saved[i] = old
                 comps[c] = new
-                cap = last[i]
                 i += 1
-                last[i] = cap + 1 if c == cap < q else cap
-                run_max[i] = size
+                last[i] = cap = cap + 1 if c == cap < q else cap
+                run_max[i] = below = size
+                near, base = adj[i], own[i]
                 c = 0
 
     return SearchResult(

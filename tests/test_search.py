@@ -139,6 +139,10 @@ def test_search_tree_node_counts(inst, budget, expected):
         ((7, 2, 3, 2, 3), 20000, "7f026fad2f9285001867aaa1d1561d1b38ca18c56db4350d8614e6f2571d15d1"),
         ((7, 3, 3, 2, 2), 100000, "3e541d075a347983014ac7169e0080dd506e43e4a8e6fc62162fa9fedd126e5c"),
         ((6, 4, 3, 2, 2), None, "4939fc584ec2f30fb0ab8594305510689906cba322bfa85d2e8d5f099462daba"),
+        # one row per component encoding: s < t, s == t (the graph case), t < s < k
+        ((6, 2, 3, 2, 1), None, "9b8f65607d891ebc9ee18add4f866748456ebce2d8f0bd9c9a8e508871617f27"),
+        ((6, 2, 2, 1, 1), None, "69801b353a8f248b5399788172cf8a7758625782651ae1e8b733fd3f5cd875a8"),
+        ((5, 2, 3, 1, 2), None, "920aaaf0652473e9dc5d08a1cbc04154b503ec37a1d3ba311b151eace50d4699"),
     ],
 )
 def test_search_witness_colorings(inst, budget, sha256):
@@ -204,6 +208,20 @@ def test_search_cost_does_not_grow_with_r():
     assert (res.value, res.nodes_explored, list(res.witness.colors)) == (3, 10, [1, 2, 3, 4])
     assert res.witness.r == 10**5
     assert peak < 200_000  # bytes; a list per color would take megabytes
+
+
+def test_budgeted_large_search_holds_no_table_per_edge_pair():
+    # components are keyed by their t-shadow, so the tables hold C(n, t) +
+    # C(n, s) bits per edge, not a mask over the C(30, 3) = 4060 edges
+    tracemalloc.start()
+    try:
+        res = exact_M(30, 2, 3, 1, 1, budget=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (res.status, res.nodes_explored) == ("budget-exhausted", 1000)
+    assert measure(res.witness, 1, 1).value == res.value
+    assert peak < 1_500_000  # bytes
 
 
 def test_parameter_errors():
@@ -300,10 +318,11 @@ R2A_GRID = [
 def test_edge_tables_match_their_definitions(n, k, t, s):
     adj, shade = search._edge_tables(n, k, t, s)
     masks = list(colex_edges(n, k))
+    t_sets = list(colex_edges(n, t))
     s_sets = list(colex_edges(n, s))
     assert len(adj) == len(shade) == len(masks)
-    for i, (e, near, covered) in enumerate(zip(masks, adj, shade)):
-        assert near == sum(1 << j for j, f in enumerate(masks[:i]) if (e & f).bit_count() >= t)
+    for e, near, covered in zip(masks, adj, shade):
+        assert near == sum(1 << j for j, f in enumerate(t_sets) if f & e == f)
         assert covered == sum(1 << j for j, f in enumerate(s_sets) if f & e == f)
 
 
