@@ -202,9 +202,6 @@ class Hypergraph:
     def complete(cls, n: int, k: int) -> "Hypergraph":
         return cls(n, k, colex_edges(n, k))
 
-    def __len__(self) -> int:
-        return len(self.edges)
-
 
 @dataclass(frozen=True)
 class Coloring:

@@ -7,12 +7,12 @@ holding one color each in colex edge order (compact) or lines
 first line "n h k", then one block per line. Lines starting with '#' are
 comments everywhere.
 
-A coloring has two readers. A body exactly as the writer emits it, C(n,k)
-ASCII lines of digits each ended by "\n" and nothing else, is read in bulk
-for every r: as bytes when each color is one digit, else through one `int`
-per line. Any other body, such as one with a comment, a blank or padded
-line or an explicit line, is read by the line loop from its first line.
-Both give the same colors and the same errors.
+A coloring's body is read once. A body in the writer's form with one-digit
+colors is read as bytes by one `translate`. Any other body of one int per
+line, with no comment or blank line, is parsed in bulk; `int` takes padded
+lines, CRLF line ends, "+3" and "03" as the line loop does. The line loop is
+left for explicit bodies, for comment and blank lines, and for naming the
+bad line of an error. Every path gives the same colors and the same errors.
 
 Colors are checked once, when `Coloring` is built, and stored as bytes
 (r <= 255) or a tuple. The writer takes them as stored, and the reader
@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import io
 import math
-import sys
-from itertools import chain
 from typing import Callable, Iterable, TextIO, TypeVar
 
 from .core import (
@@ -136,31 +134,30 @@ def write_coloring(c: Coloring, fh: TextIO) -> None:
 def read_coloring(fh: TextIO) -> Coloring:
     lineno, (n, k, r) = _header(fh, "coloring", "n k r")
     m = math.comb(n, k)
-    # The writer's form: m lines, each a color of at most as many digits as
-    # r and "\n". Reading one character past its longest body tells a longer
-    # body apart. With one digit per line it is exactly 2m characters, and
-    # its colors are the even bytes.
-    size = min((len(str(r)) + 1) * m + 1, sys.maxsize)
-    prefix = fh.read(size)
-    if len(prefix) < size and prefix.isascii():
-        raw = prefix.encode("ascii")
-        if len(raw) == 2 * m:
-            digits = raw[::2]
-            if raw[1::2] == b"\n" * m and not digits.translate(None, _DIGITS):
-                return _checked(Coloring, n, k, r, digits.translate(_DIGIT_VALUES))
-        elif (
-            raw.count(b"\n") == m
-            and raw.endswith(b"\n")
-            and not raw.startswith(b"\n")
-            and b"\n\n" not in raw
-            and raw.translate(None, b"\n").isdigit()
-        ):
-            return _checked(Coloring, n, k, r, list(map(int, io.BytesIO(raw))))
-    # Otherwise the line loop reads the body: the prefix completed to a line
-    # end and split at "\n" (which a text file opened in Python's default
-    # mode ends each line with), then the rest of the stream.
-    lines = chain(io.StringIO(prefix + fh.readline()), fh)
-    del prefix  # the StringIO keeps its own copy
+    # The body is read once, as bytes; surrogatepass carries any str there
+    # and back. The writer's form with one-digit colors is exactly 2m bytes,
+    # the colors at the even ones and "\n" at the odd ones.
+    raw = fh.read().encode("utf-8", "surrogatepass")
+    if len(raw) == 2 * m:
+        digits = raw[::2]
+        if raw[1::2] == b"\n" * m and not digits.translate(None, _DIGITS):
+            return _checked(Coloring, n, k, r, digits.translate(_DIGIT_VALUES))
+    # Any other body is parsed in bulk, one `int` per line. `int` refuses a
+    # blank, comment or explicit line, so a parse that succeeds reads the
+    # colors the line loop would. A '#' or an empty line would fail it, maybe
+    # late, so it is not tried then.
+    if b"#" not in raw and b"\n\n" not in raw:
+        try:
+            colors = list(map(int, io.BytesIO(raw)))
+        except ValueError:
+            pass
+        else:
+            if len(colors) == m:
+                return _checked(Coloring, n, k, r, colors)
+    # Otherwise the line loop reads the bytes, split at "\n" as a text file
+    # opened in Python's default mode ends each line (a StringIO would hold
+    # four bytes per character).
+    lines = io.TextIOWrapper(io.BytesIO(raw), "utf-8", "surrogatepass", newline="\n")
     compact: list[int] = []
     explicit: dict[int, int] = {}
     mode = None
@@ -192,7 +189,8 @@ def read_coloring(fh: TextIO) -> Coloring:
     if mode == "explicit":
         if len(explicit) != m:
             raise FormatError(f"explicit coloring lists {len(explicit)} of {m} edges")
-        compact = [explicit[rank] for rank in range(m)]
+        # pop frees each rank as its color is listed
+        compact = [explicit.pop(rank) for rank in range(m)]
     if len(compact) != m:
         raise FormatError(f"compact coloring lists {len(compact)} of {m} colors")
     return _checked(Coloring, n, k, r, compact)

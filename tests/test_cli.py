@@ -3,7 +3,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -284,6 +287,16 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
         out = capsys.readouterr().out
         assert code == 0, line
         assert json.loads(out)["subcommand"] == argv[0], line
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "monotight", "constants"], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["subcommand"] == "constants"
 
 
 def test_uncaught_exception_exits_3_with_one_stderr_line(monkeypatch, capsys):

@@ -180,7 +180,7 @@ class TestHypergraph:
         # an int hashes as itself mod 2^61 - 1, so the masks of {62, 63, 64}
         # and {1, 2, 3} hash alike; neither is taken for the other
         edges = [[62, 63, 64], [1, 2, 3], [70, 5, 80], [2, 63, 79]]
-        assert len(Hypergraph.from_vertex_lists(80, 3, edges)) == 4
+        assert len(Hypergraph.from_vertex_lists(80, 3, edges).edges) == 4
         with pytest.raises(ValueError, match=r"duplicate edge \(5, 70, 80\)"):
             Hypergraph.from_vertex_lists(80, 3, edges + [[80, 70, 5]])
 
@@ -203,7 +203,7 @@ class TestHypergraph:
             colex_rank(-7, 5, 3)
 
     def test_complete(self):
-        assert len(Hypergraph.complete(6, 3)) == 20
+        assert len(Hypergraph.complete(6, 3).edges) == 20
 
     def test_edges_cannot_be_appended(self):
         # edges are checked at construction only, so a duplicate edge or a
@@ -223,7 +223,7 @@ class TestHypergraph:
         h = Hypergraph.from_vertex_lists(5, 3, [[1, 2, 3], [3, 4, 5]])
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(h, field, value)
-        assert (h.n, h.k, len(h)) == (5, 3, 2)
+        assert (h.n, h.k, len(h.edges)) == (5, 3, 2)
 
     def test_edges_are_copied_from_the_input(self):
         edges = [0b111, 0b1110]

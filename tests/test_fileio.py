@@ -193,8 +193,8 @@ def test_compact_coloring_with_comments_and_blank_lines():
     assert list(read_coloring(io.StringIO(text)).colors) == [1, 2, 1, 2]
 
 
-# r sets how many characters the reader takes before the line loop: for
-# r <= 9 that read ends inside these bodies, for r = 16384 it runs past them
+# the bulk parse refuses each of these bodies, whatever r, so the line loop
+# reads them and names the bad line; r = 16384 stores the colors as a tuple
 @pytest.mark.parametrize("r", [1, 2, 3, 1 << 14])
 def test_compact_reader_names_the_bad_line(r):
     with pytest.raises(FormatError) as exc:
@@ -228,6 +228,45 @@ def test_writers_form_is_read_in_bulk(monkeypatch, r):
     got = read_coloring(buf)
     assert (got.n, got.k, got.r, got.colors) == (c.n, c.k, c.r, c.colors)
     assert calls == [1]
+
+
+BULK_EDITS = {
+    "padded lines": lambda lines: [f"  {line} " for line in lines],
+    "CRLF line ends": lambda lines: [f"{line}\r" for line in lines],
+    "a color as +3": lambda lines: ["+3", *lines[1:]],
+    "a color as 03": lambda lines: ["03", *lines[1:]],
+}
+
+
+@pytest.mark.parametrize("edit", sorted(BULK_EDITS))
+def test_one_int_per_line_is_read_in_bulk(monkeypatch, edit):
+    colors = [1 + i % 3 for i in range(math.comb(7, 3))]
+    colors[0] = 3
+    c = Coloring(7, 3, 3, colors)
+    buf = io.StringIO()
+    write_coloring(c, buf)
+    head, *lines = buf.getvalue().splitlines()
+    text = "\n".join([head, *BULK_EDITS[edit](lines)]) + "\n"
+    data_lines = fileio._data_lines
+    calls = []
+
+    def header_only(raw_lines, start=1):
+        calls.append(start)
+        assert len(calls) == 1, "the body fell back to the line loop"
+        return data_lines(raw_lines, start)
+
+    monkeypatch.setattr(fileio, "_data_lines", header_only)
+    assert read_coloring(io.StringIO(text)) == c
+    assert calls == [1]
+
+
+def test_short_file_under_a_huge_header_is_a_format_error(tmp_path):
+    # C(999995, 3) colors are far more than the file holds, or than a read
+    # sized by them could allocate
+    path = tmp_path / "huge.col"
+    path.write_text("999995 3 10\n1\n2\n")
+    with open(path) as fh, pytest.raises(FormatError, match="lists 2 of 166663666684499965 colors"):
+        read_coloring(fh)
 
 
 def test_coloring_rejects_explicit_then_compact():
