@@ -1,15 +1,17 @@
 """Command-line entry point.
 
 Every run prints one JSON object to stdout. Exit codes: 0 success,
-1 verification failure, 2 invalid input (a parse error, a flag the
-subcommand would not read, a size past the index range) or an unusable
-file path, 3 internal error (a bug). Exits 2 and 3 print one "error: ..."
-line on stderr (3: "error: internal: ...") and nothing on stdout.
+1 verification failure, 2 invalid input (a parse error, a size past the
+index range) or an unusable file path, 3 internal error (a bug). Exits 2
+and 3 print one "error: ..." line on stderr (3: "error: internal: ...")
+and nothing on stdout. Each `construct` name and `verify` suite is a
+sub-parser with only the flags it reads, so argparse refuses any other.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -25,13 +27,6 @@ def _load_hypergraph(path: str) -> Hypergraph:
 def _load_coloring(path: str):
     with open(path) as fh:
         return fileio.read_coloring(fh)
-
-
-def _refuse(args, what: str, *names: str) -> None:
-    """Bad input if any of these flags was given, since `what` does not read it."""
-    given = [f"--{name}" for name in names if getattr(args, name) is not None]
-    if given:
-        raise ValueError(f"{what} takes no {' '.join(given)}")
 
 
 def _cmd_components(args) -> dict:
@@ -96,27 +91,18 @@ _TWO_PART = {
 def _cmd_construct(args) -> dict:
     name = args.name
     if name == "steiner":
-        _refuse(args, name, "n", "k", "r")
-        if args.design is None:
-            raise ValueError("steiner requires --design")
         system = _resolve_design(args.design)
-        t = 1 if args.t is None else args.t
-        if system.class_of is not None:
-            _refuse(args, "steiner on a design with class tags", "order")
+        if system.class_of is None:
+            classes, _ = designs.partition_blocks(system, args.t, order=args.order or "given")
+        elif args.order is not None:
+            raise ValueError("steiner on a design with class tags takes no --order")
+        else:
             classes = system.parallel_classes()
-        else:
-            classes, _ = designs.partition_blocks(system, t, order=args.order or "given")
-        c = constructions.steiner_coloring(system, classes, t=t)
+        c = constructions.steiner_coloring(system, classes, t=args.t)
+    elif name == "all_red":
+        c = constructions.all_red(args.n, args.k, args.r)
     else:
-        _refuse(args, name, "t", "design", "order", *(() if name == "all_red" else ("k", "r")))
-        if args.n is None:
-            raise ValueError(f"{name} requires --n")
-        if name != "all_red":
-            c = _TWO_PART[name](args.n)
-        elif args.r is None or args.k is None:
-            raise ValueError("all_red requires --r and --k")
-        else:
-            c = constructions.all_red(args.n, args.k, args.r)
+        c = _TWO_PART[name](args.n)
     with open(args.out, "w") as fh:
         fileio.write_coloring(c, fh)
     return {"name": name, "n": c.n, "k": c.k, "r": c.r, "out": args.out}
@@ -132,8 +118,8 @@ def _resolve_design(spec: str):
 
 
 def _cmd_design(args) -> dict:
-    if args.partition_t is None:
-        _refuse(args, "design without --partition-t", "order")
+    if args.partition_t is None and args.order is not None:
+        raise ValueError("design without --partition-t takes no --order")
     system = _resolve_design(args.name)
     report = {
         "name": args.name,
@@ -189,14 +175,12 @@ def _cmd_search(args) -> dict:
 
 def _cmd_verify(args) -> dict:
     if args.suite == "r2a":
-        _refuse(args, "r2a", "trials", "seed")
         case = (args.n, args.k, args.t, args.s)
         if case == (None,) * 4:
             return properties.verify_r2a_suite()
         if None in case:
             raise ValueError("r2a takes all of --n, --k, --t, --s or none of them")
         return properties.verify_r2a_suite([case])
-    _refuse(args, args.suite, "n", "k", "t", "s")
     # looked up at call time, so a wrapped properties.verify_<suite> is the one called;
     # the suite's own defaults apply to --trials and --seed when they are not given
     given = {name: getattr(args, name) for name in ("trials", "seed") if getattr(args, name) is not None}
@@ -211,10 +195,14 @@ def _positive_int(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # sub-parsers too: `--t` is not `--trials`
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message: str):  # `main` reports it as one "error:" line, exit 2
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="monotight")
     sub = p.add_subparsers(dest="subcommand", required=True)
@@ -247,15 +235,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_constants)
 
     sp = sub.add_parser("construct", help="write an explicit coloring to a file")
-    sp.add_argument("name", choices=["all_red", "majority", "two_clique", "parity", "steiner"])
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--r", type=int)
-    sp.add_argument("--t", type=int, help="steiner only; default 1")
-    sp.add_argument("--design", help="builtin name, apQ, or a design file")
-    sp.add_argument("--order", choices=["given", "complement-paired"], help="default given")
-    sp.add_argument("--out", required=True)
     sp.set_defaults(fn=_cmd_construct)
+    names = sp.add_subparsers(dest="name", required=True)
+    cp = names.add_parser("all_red")
+    for name in ("n", "k", "r"):
+        cp.add_argument(f"--{name}", type=int, required=True)
+    cp.add_argument("--out", required=True)
+    for name in _TWO_PART:
+        cp = names.add_parser(name)
+        cp.add_argument("--n", type=int, required=True)
+        cp.add_argument("--out", required=True)
+    cp = names.add_parser("steiner")
+    cp.add_argument("--design", required=True, help="builtin name, apQ, or a design file")
+    cp.add_argument("--t", type=int, default=1, help="default 1")
+    cp.add_argument("--order", choices=["given", "complement-paired"], help="default given")
+    cp.add_argument("--out", required=True)
 
     sp = sub.add_parser("design", help="emit/validate a Steiner system")
     sp.add_argument("name", help="builtin name (fano, s348, ag23), apQ, or a file")
@@ -282,14 +276,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_search)
 
     sp = sub.add_parser("verify", help="run a named property suite")
-    sp.add_argument("suite", choices=["kk", "density", "lowerbound", "blowup", "r2a"])
-    sp.add_argument("--trials", type=_positive_int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--t", type=int)
-    sp.add_argument("--s", type=int)
     sp.set_defaults(fn=_cmd_verify)
+    suites = sp.add_subparsers(dest="suite", required=True)
+    for suite in ("kk", "density", "lowerbound", "blowup"):
+        vp = suites.add_parser(suite)
+        vp.add_argument("--trials", type=_positive_int)
+        vp.add_argument("--seed", type=int)
+    vp = suites.add_parser("r2a")
+    for name in ("n", "k", "t", "s"):
+        vp.add_argument(f"--{name}", type=int)
 
     return p
 

@@ -481,29 +481,28 @@ def _fuzz_values(action):
 
 @st.composite
 def cli_argv(draw):
+    argv, flags = [], []
     parser = build_parser()
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    name = draw(st.sampled_from(sorted(sub.choices) + ["nosuch"]))
-    argv = [name]
-    if name in sub.choices:
-        positional, flags = [], []
-        values = {}
-        for action in sub.choices[name]._actions:
+    while parser is not None:
+        actions, parser = parser._actions, None
+        for action in actions:
             if isinstance(action, argparse._HelpAction):
+                continue
+            if isinstance(action, argparse._SubParsersAction):  # a subcommand, name or suite
+                argv.append(draw(st.sampled_from(sorted(action.choices) + ["nosuch"])))
+                parser = action.choices.get(argv[-1])
                 continue
             # required arguments are always given, and so are --budget and
             # --trials: an unbudgeted search or a default-size suite runs for
-            # seconds. r2a refuses --trials, and runs in milliseconds without it.
-            forced = action.required or action.dest == "budget"
-            forced |= action.dest == "trials" and values.get("suite") != "r2a"
-            if not forced and not draw(st.booleans()):
+            # seconds. r2a has no --trials, and runs in milliseconds.
+            if not (action.required or action.dest in ("budget", "trials")) and not draw(st.booleans()):
                 continue
-            value = values[action.dest] = draw(_fuzz_values(action))
+            value = draw(_fuzz_values(action))
             if action.option_strings:
                 flags.append([action.option_strings[0], value])
             else:
-                positional.append(value)
-        argv += positional + [tok for pair in draw(st.permutations(flags)) for tok in pair]
+                argv.append(value)
+    argv += [tok for pair in draw(st.permutations(flags)) for tok in pair]
     if draw(st.booleans()):
         for junk in draw(st.lists(st.sampled_from(FUZZ_JUNK), min_size=1, max_size=2)):
             argv.insert(draw(st.integers(0, len(argv))), junk)
@@ -545,6 +544,8 @@ PARSE_ERRORS = {
     "missing-required": (["measure", "--coloring", "x", "--t", "1"], "required: --s"),
     "bad-choice": (["construct", "nosuch", "--out", "x"], "invalid choice: 'nosuch'"),
     "no-subcommand": ([], "required: subcommand"),
+    # read as --trials 2 if argparse took a unique prefix for the whole flag
+    "abbreviated-flag": (["verify", "kk", "--tr", "2"], "unrecognized arguments: --tr"),
 }
 
 
@@ -596,7 +597,8 @@ def test_construct_all_red_without_r_or_k_exits_2(tmp_path, capsys, given):
     assert main(["construct", "all_red", "--n", "5", *given, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: all_red requires --r and --k\n"
+    missing = ", ".join(flag for flag in ("--k", "--r") if flag not in given)
+    assert captured.err == f"error: the following arguments are required: {missing}\n"
     assert not out.exists()
 
 
@@ -612,8 +614,18 @@ def test_construct_steiner_without_design_exits_2(tmp_path, capsys):
     assert main(["construct", "steiner", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: steiner requires --design\n"
+    assert captured.err == "error: the following arguments are required: --design\n"
     assert not out.exists()
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    # a --order left over from the first call would refuse the second: ap3 carries class tags
+    assert build_parser() is build_parser()
+    fano = ["construct", "steiner", "--design", "fano", "--order", "complement-paired"]
+    code, rep = run(capsys, *fano, "--out", str(tmp_path / "fano.col"))
+    assert code == 0 and rep["r"] == 7
+    code, rep = run(capsys, "construct", "steiner", "--design", "ap3", "--out", str(tmp_path / "ap3.col"))
+    assert code == 0 and rep["r"] == 4
 
 
 _MAX_SHADOW_BY_TS = properties._max_shadow_by_ts

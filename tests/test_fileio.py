@@ -357,9 +357,7 @@ BODY_MUTATIONS = {
 @pytest.mark.parametrize("final_newline", [True, False])
 @pytest.mark.parametrize("mutation", sorted(BODY_MUTATIONS))
 def test_reader_matches_line_by_line_reference(mutation, final_newline, source, tmp_path):
-    # A file is opened in Python's default text mode, as the CLI opens it;
-    # a two-digit line or a mutation can straddle the 2m + 1 characters the
-    # reader reads first.
+    # A file is opened in Python's default text mode, as the CLI opens it.
     path = tmp_path / "mutated.col"
 
     def stream(text):
