@@ -81,31 +81,22 @@ def _cmd_constants(args) -> dict:
     return bounds.special_constants()
 
 
-_TWO_PART = {
-    "majority": constructions.majority_coloring,
-    "two_clique": constructions.two_clique_coloring,
-    "parity": constructions.parity_coloring,
-}
-
-
 def _cmd_construct(args) -> dict:
-    name = args.name
-    if name == "steiner":
-        system = _resolve_design(args.design)
-        if system.class_of is None:
-            classes, _ = designs.partition_blocks(system, args.t, order=args.order or "given")
-        elif args.order is not None:
-            raise ValueError("steiner on a design with class tags takes no --order")
-        else:
-            classes = system.parallel_classes()
-        c = constructions.steiner_coloring(system, classes, t=args.t)
-    elif name == "all_red":
-        c = constructions.all_red(args.n, args.k, args.r)
-    else:
-        c = _TWO_PART[name](args.n)
+    c = args.build(args)
     with open(args.out, "w") as fh:
         fileio.write_coloring(c, fh)
-    return {"name": name, "n": c.n, "k": c.k, "r": c.r, "out": args.out}
+    return {"name": args.name, "n": c.n, "k": c.k, "r": c.r, "out": args.out}
+
+
+def _steiner(args):
+    system = _resolve_design(args.design)
+    if system.class_of is None:
+        classes, _ = designs.partition_blocks(system, args.t, order=args.order or "given")
+    elif args.order is not None:
+        raise ValueError("steiner on a design with class tags takes no --order")
+    else:
+        classes = system.parallel_classes()
+    return constructions.steiner_coloring(system, classes, t=args.t)
 
 
 def _resolve_design(spec: str):
@@ -241,15 +232,19 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("n", "k", "r"):
         cp.add_argument(f"--{name}", type=int, required=True)
     cp.add_argument("--out", required=True)
-    for name in _TWO_PART:
+    # builders are looked up at call time, so a wrapped constructions.<name> is the one called
+    cp.set_defaults(build=lambda a: constructions.all_red(a.n, a.k, a.r))
+    for name in ("majority", "two_clique", "parity"):
         cp = names.add_parser(name)
         cp.add_argument("--n", type=int, required=True)
         cp.add_argument("--out", required=True)
+        cp.set_defaults(build=lambda a: getattr(constructions, f"{a.name}_coloring")(a.n))
     cp = names.add_parser("steiner")
     cp.add_argument("--design", required=True, help="builtin name, apQ, or a design file")
     cp.add_argument("--t", type=int, default=1, help="default 1")
     cp.add_argument("--order", choices=["given", "complement-paired"], help="default given")
     cp.add_argument("--out", required=True)
+    cp.set_defaults(build=_steiner)
 
     sp = sub.add_parser("design", help="emit/validate a Steiner system")
     sp.add_argument("name", help="builtin name (fano, s348, ag23), apQ, or a file")

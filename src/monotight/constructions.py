@@ -2,20 +2,21 @@
 design-induced colorings.
 
 Majority, parity, two-clique and every blow-up are partition rules: an
-edge's color depends only on how many of its vertices lie in each part of
-a vertex partition. One kernel, `_partition_coloring`, writes any such rule
-one colex block at a time. Majority, parity and two-clique split the
-vertices into {1..a} and the rest (`_two_part_coloring`); a blow-up splits
-them round-robin and colors by the base edge of the parts an edge touches.
+edge's color depends only on its profile, its vertex count in each part.
+One kernel, `_partition_coloring`, writes such a rule, given as the parts
+and a profile -> color table, one colex block at a time. Majority, parity
+and two-clique split the vertices into {1..a} and the rest; a blow-up
+splits them round-robin and gives a profile the padded parts' base color.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
-from typing import Callable, Sequence
+import operator
+from itertools import combinations, combinations_with_replacement
+from typing import Sequence
 
-from .core import Coloring, _colex_sums, _kset_count, _sub_masks, _subset_ranks, colex_edges, mask_to_vertices
+from .core import Coloring, _colex_sums, _kset_count, _sub_masks, _subset_ranks, colex_edges, mask_to_vertices, vertices_to_mask
 from .designs import SteinerSystem
 
 
@@ -25,54 +26,48 @@ def all_red(n: int, k: int, r: int) -> Coloring:
 
 
 def _partition_coloring(
-    k: int, r: int, part: Sequence[int], rule: Callable[[int], int]
+    k: int, r: int, part: Sequence[int], colors: dict[tuple[int, ...], int]
 ) -> Coloring:
-    """The r-coloring of K^k_n, n = len(part), that gives edge e the color rule(e).
+    """The r-coloring of K^k_n, n = len(part), that gives each edge the color
+    colors[(a_0, ..., a_{p-1})], a_i its vertices in part i; part[v-1] is
+    vertex v's part, in range(p) with p = max(part) + 1.
 
-    part[v-1] is vertex v's part, a nonnegative int, and rule(e) must depend
-    only on how many vertices e has in each part. As in `core.color_runs`,
-    for each (k-1)-set top the edges top | x with x < min(top) are
-    consecutive in colex order, x ascending, and their colors are a part ->
-    color table applied to part[:min(top)-1]: one `bytes.translate` per
-    block, or a `map` when the parts or colors do not fit a byte. A table
-    depends only on top's counts, whose key sums k^part over top (each count
-    is below k). It is cached by that key and filled once, at the first top
-    with that key: entry p is rule(top | v) for the first v of part p outside
-    top. Such a v is among part p's first k vertices unless top holds all of
-    part p, and then so does every top with that key, and no block reads p.
+    As in `core.color_runs`, for each (k-1)-set top the edges top | x with
+    x < min(top) are consecutive in colex order, x ascending, and their
+    colors are a part -> color table applied to part[:min(top)-1]: one
+    `bytes.translate` per block, or a `map` when the parts or colors do not
+    fit a byte. A profile is keyed by its digits a_i in base k + 1, and a
+    top's key sums the weights (k+1)^part over top; its table, filled at the
+    first top with that key, holds at entry i the color keyed by key plus
+    part i's weight. An entry that no block reads gets 0, and so does a
+    missing profile, which `Coloring` then refuses.
     """
-    n = len(part)
-    members: dict[int, list[int]] = {}  # part -> its first k vertices, as bits
-    for v, p in enumerate(part):
-        if len(members.setdefault(p, [])) < k:
-            members[p].append(1 << v)
-    keys = _colex_sums([k**p for p in part], k - 1)  # of the (k-1)-sets, in colex order
-    if r <= 255 and max(part) <= 255:
-        part, colors, blank = bytes(part), bytearray(), bytearray(256).copy
+    n, p = len(part), max(part) + 1
+    weight = [(k + 1) ** i for i in range(p)]
+    by_key = {sum(map(operator.mul, profile, weight)): color for profile, color in colors.items()}
+    keys = _colex_sums([weight[i] for i in part], k - 1)  # of the (k-1)-sets, in colex order
+    if r <= 255 and p <= 256:
+        part, out, blank = bytes(part), bytearray(), bytearray(256).copy
         expand = bytes.translate
     else:
-        colors, blank = [], ([0] * (max(part) + 1)).copy
+        out, blank = [], ([0] * p).copy
         expand = lambda block, table: map(table.__getitem__, block)  # noqa: E731
     tables: dict[int, bytearray | list[int]] = {}  # key -> part -> color table
     for top, key in zip(colex_edges(n, k - 1), keys):
         table = tables.get(key)
         if table is None:
             table = tables[key] = blank()
-            for p, bits in members.items():
-                outside = [b for b in bits if not b & top]
-                if outside:
-                    table[p] = rule(top | outside[0])
-        colors += expand(part[: (top & -top).bit_length() - 1], table)
-    return Coloring(n, k, r, colors)
+            table[:p] = [by_key.get(key + w, 0) for w in weight]
+        out += expand(part[: (top & -top).bit_length() - 1], table)
+    return Coloring(n, k, r, out)
 
 
 def _two_part_coloring(n: int, a: int, by_count: tuple[int, ...]) -> Coloring:
     """k=3, r=2: edge e gets color by_count[|e ∩ {1..a}|]."""
     if n < 3:
         raise ValueError("n must be at least 3")
-    inside = (1 << a) - 1
     return _partition_coloring(
-        3, 2, [0] * a + [1] * (n - a), lambda e: by_count[(e & inside).bit_count()]
+        3, 2, [0] * a + [1] * (n - a), {(i, 3 - i): by_count[i] for i in range(4)}
     )
 
 
@@ -97,9 +92,9 @@ def blow_up(c0: Coloring, n: int) -> Coloring:
 
     {1..n} is split round-robin into N = n0-k+1 parts; an edge is colored by
     the base color of its touched part index set, padded up to size k with
-    the reserved base vertices N+1..n0 (`padded_index_set`). At n = n0 the
-    base coloring itself is returned, since the padded map is not the
-    identity there.
+    the reserved base vertices N+1..n0 (`padded_index_set`): a table over
+    the C(N+k-1, k) profiles of the N parts. At n = n0 the base coloring
+    itself is returned, since the padded map is not the identity there.
     """
     n0, k = c0.n, c0.k
     if n < n0:
@@ -108,9 +103,12 @@ def blow_up(c0: Coloring, n: int) -> Coloring:
         return c0
     base = dict(zip(colex_edges(n0, k), c0.colors))
     num_parts = n0 - k + 1
-    return _partition_coloring(
-        k, c0.r, [v % num_parts for v in range(n)], lambda e: base[padded_index_set(e, n0, k)]
-    )
+    parts = range(1, num_parts + 1)  # part i-1 as base vertex i, which padded_index_set only pads
+    colors = {
+        tuple(map(touched.count, parts)): base[padded_index_set(vertices_to_mask(touched), n0, k)]
+        for touched in combinations_with_replacement(parts, k)
+    }
+    return _partition_coloring(k, c0.r, [v % num_parts for v in range(n)], colors)
 
 
 def padded_index_set(e: int, n0: int, k: int) -> int:

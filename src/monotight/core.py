@@ -136,7 +136,11 @@ def _kset_count(n: int, k: int) -> int:
     past the largest list index raises ValueError naming C(n, k)."""
     count = math.comb(n, k)
     if count > sys.maxsize:
-        raise ValueError(f"C({n}, {k}) = {count} k-sets exceed the largest list index, {sys.maxsize}")
+        try:
+            size = str(count)
+        except ValueError:  # too many digits for str: give its order of magnitude
+            size = f"about 10^{math.log10(count):.1f}"
+        raise ValueError(f"C({n}, {k}) = {size} k-sets exceed the largest list index, {sys.maxsize}")
     return count
 
 

@@ -26,12 +26,12 @@ hypergraph file with a repeated edge.
 from __future__ import annotations
 
 import io
-import math
 from typing import Callable, Iterable, TextIO, TypeVar
 
 from .core import (
     Coloring,
     Hypergraph,
+    _kset_count,
     colex_rank,
     mask_to_vertices,
     vertices_to_mask,
@@ -133,7 +133,7 @@ def write_coloring(c: Coloring, fh: TextIO) -> None:
 
 def read_coloring(fh: TextIO) -> Coloring:
     lineno, (n, k, r) = _header(fh, "coloring", "n k r")
-    m = math.comb(n, k)
+    m = _checked(_kset_count, n, k)
     # The body is read once, as bytes; surrogatepass carries any str there
     # and back. The writer's form with one-digit colors is exactly 2m bytes,
     # the colors at the even ones and "\n" at the odd ones.

@@ -570,6 +570,9 @@ OVERFLOW = {
     # C(100, 50) edges do not fit a list index
     "search": (["search", "--n", "100", "--r", "2", "--k", "50", "--t", "1", "--s", "1", "--budget", "5", "--emit-witness", "@out"], "C(100, 50)"),
     "all_red": (["construct", "all_red", "--n", "100", "--k", "50", "--r", "2", "--out", "@out"], "C(100, 50)"),
+    # C(1000000, 5000) has more digits than an int converts to a str
+    "search-huge": (["search", "--n", "1000000", "--r", "2", "--k", "5000", "--t", "1", "--s", "1"], "C(1000000, 5000)"),
+    "all_red-huge": (["construct", "all_red", "--n", "1000000", "--k", "5000", "--r", "2", "--out", "@out"], "C(1000000, 5000)"),
     # two 199-vertex blocks of {1..200}: C(200, 100) k-sets to check
     "design": (["design", "@des"], "C(200, 100)"),
 }

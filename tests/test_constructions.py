@@ -179,7 +179,9 @@ def test_blow_up_matches_per_edge_rank_oracle(k, n0, n):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_partition_coloring_matches_its_rule(k):
     # p shuffled (not interval) parts plus one label no vertex takes, and a
-    # random counts -> color table; labels from 299 up do not fit a byte
+    # random counts -> color table drawn per edge, then handed to the kernel
+    # keyed by count vectors over every label below the largest; labels from
+    # 299 up do not fit a byte
     rng = random.Random(k)
     for p in (1, 2, 3, 4):
         for r in (3, 300):
@@ -200,9 +202,23 @@ def test_partition_coloring_matches_its_rule(k):
                         return table.setdefault(counts, rng.randint(1, r))
 
                     want = list(map(rule, colex_edges(n, k)))
-                    c = _partition_coloring(k, r, part, rule)
+                    profiles = {}
+                    for counts, color in table.items():
+                        profile = [0] * (max(part) + 1)
+                        for label, a in zip(labels, counts):
+                            profile[label] = a
+                        profiles[tuple(profile)] = color
+                    c = _partition_coloring(k, r, part, profiles)
                     assert (c.n, c.k, c.r) == (n, k, r)
                     assert list(c.colors) == want, (k, p, r, offset, n)
+
+
+@pytest.mark.parametrize("r", [2, 300])
+def test_partition_coloring_refuses_a_profile_missing_from_its_table(r):
+    # parts {1, 2, 3} and {4, 5, 6}: profile (2, 1) occurs but has no color
+    table = {(i, 3 - i): 1 for i in (0, 1, 3)}
+    with pytest.raises(ValueError, match=rf"^colors must lie in \[1, {r}\]$"):
+        _partition_coloring(3, r, [0, 0, 0, 1, 1, 1], table)
 
 
 def test_verify_blowup_reports_a_broken_padded_map(monkeypatch):

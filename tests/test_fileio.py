@@ -269,6 +269,12 @@ def test_short_file_under_a_huge_header_is_a_format_error(tmp_path):
         read_coloring(fh)
 
 
+def test_header_past_the_index_range_is_a_format_error_naming_its_size():
+    # C(1000000, 5000) has more digits than an int converts to a str
+    with pytest.raises(FormatError, match=r"^C\(1000000, 5000\) = about 10\^13668\.9 k-sets exceed"):
+        read_coloring(io.StringIO("1000000 5000 2\n1\n2\n"))
+
+
 def test_coloring_rejects_explicit_then_compact():
     with pytest.raises(FormatError) as exc:
         read_coloring(io.StringIO("4 3 2\n1 2 3 1\n2\n1\n1\n"))
