@@ -2,7 +2,7 @@
 design-induced colorings.
 
 Majority, parity, two-clique and every blow-up are partition rules: an
-edge's color depends only on its profile, its vertex count in each part.
+edge's color depends only on its profile, its vertices' part labels.
 One kernel, `_partition_coloring`, writes such a rule, given as the parts
 and a profile -> color table, one colex block at a time. Majority, parity
 and two-clique split the vertices into {1..a} and the rest; a blow-up
@@ -12,7 +12,6 @@ splits them round-robin and gives a profile the padded parts' base color.
 from __future__ import annotations
 
 import math
-import operator
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
@@ -29,22 +28,22 @@ def _partition_coloring(
     k: int, r: int, part: Sequence[int], colors: dict[tuple[int, ...], int]
 ) -> Coloring:
     """The r-coloring of K^k_n, n = len(part), that gives each edge the color
-    colors[(a_0, ..., a_{p-1})], a_i its vertices in part i; part[v-1] is
-    vertex v's part, in range(p) with p = max(part) + 1.
+    colors[labels], labels its k vertices' parts in any order, each multiset
+    once; part[v-1] is vertex v's part, in range(p) with p = max(part) + 1.
 
     As in `core.color_runs`, for each (k-1)-set top the edges top | x with
     x < min(top) are consecutive in colex order, x ascending, and their
     colors are a part -> color table applied to part[:min(top)-1]: one
     `bytes.translate` per block, or a `map` when the parts or colors do not
-    fit a byte. A profile is keyed by its digits a_i in base k + 1, and a
-    top's key sums the weights (k+1)^part over top; its table, filled at the
-    first top with that key, holds at entry i the color keyed by key plus
-    part i's weight. An entry that no block reads gets 0, and so does a
-    missing profile, which `Coloring` then refuses.
+    fit a byte. A profile's key sums the weights (k+1)^label of its labels,
+    its part counts as digits in base k + 1, and so does a top's key over
+    top; its table, filled at the first top with that key, holds at entry i
+    the color keyed by key plus part i's weight. An entry that no block
+    reads gets 0, and so does a missing profile, which `Coloring` refuses.
     """
     n, p = len(part), max(part) + 1
     weight = [(k + 1) ** i for i in range(p)]
-    by_key = {sum(map(operator.mul, profile, weight)): color for profile, color in colors.items()}
+    by_key = {sum(map(weight.__getitem__, labels)): color for labels, color in colors.items()}
     keys = _colex_sums([weight[i] for i in part], k - 1)  # of the (k-1)-sets, in colex order
     if r <= 255 and p <= 256:
         part, out, blank = bytes(part), bytearray(), bytearray(256).copy
@@ -66,9 +65,9 @@ def _two_part_coloring(n: int, a: int, by_count: tuple[int, ...]) -> Coloring:
     """k=3, r=2: edge e gets color by_count[|e ∩ {1..a}|]."""
     if n < 3:
         raise ValueError("n must be at least 3")
-    return _partition_coloring(
-        3, 2, [0] * a + [1] * (n - a), {(i, 3 - i): by_count[i] for i in range(4)}
-    )
+    _kset_count(n, 3)
+    colors = {(0,) * i + (1,) * (3 - i): by_count[i] for i in range(4)}  # i vertices in part 0
+    return _partition_coloring(3, 2, [0] * a + [1] * (n - a), colors)
 
 
 def majority_coloring(n: int) -> Coloring:
@@ -90,23 +89,23 @@ def parity_coloring(n: int) -> Coloring:
 def blow_up(c0: Coloring, n: int) -> Coloring:
     """Blow-up extension of a base coloring on K^k_{n0} to K^k_n.
 
-    {1..n} is split round-robin into N = n0-k+1 parts; an edge is colored by
-    the base color of its touched part index set, padded up to size k with
-    the reserved base vertices N+1..n0 (`padded_index_set`): a table over
-    the C(N+k-1, k) profiles of the N parts. At n = n0 the base coloring
-    itself is returned, since the padded map is not the identity there.
+    {1..n} is split round-robin into N = n0-k+1 parts labelled 0..N-1; an
+    edge is colored by the base color of its touched part index set, padded
+    up to size k with the reserved base vertices N+1..n0 (`padded_index_set`):
+    a table over the C(N+k-1, k) sorted label k-tuples. At n = n0 the base
+    coloring itself is returned, since the padded map is not the identity.
     """
     n0, k = c0.n, c0.k
     if n < n0:
         raise ValueError(f"need n >= n0 = {n0}")
     if n == n0:
         return c0
+    _kset_count(n, k)
     base = dict(zip(colex_edges(n0, k), c0.colors))
     num_parts = n0 - k + 1
-    parts = range(1, num_parts + 1)  # part i-1 as base vertex i, which padded_index_set only pads
-    colors = {
-        tuple(map(touched.count, parts)): base[padded_index_set(vertices_to_mask(touched), n0, k)]
-        for touched in combinations_with_replacement(parts, k)
+    colors = {  # label i as base vertex i+1, which padded_index_set only pads
+        labels: base[padded_index_set(vertices_to_mask(i + 1 for i in labels), n0, k)]
+        for labels in combinations_with_replacement(range(num_parts), k)
     }
     return _partition_coloring(k, c0.r, [v % num_parts for v in range(n)], colors)
 

@@ -87,6 +87,12 @@ def bisected_kk_root(m, k):
     return bounds._bisect_root(fun, float(k), hi, 1e-12)
 
 
+def test_bisect_root_refuses_an_interval_without_a_sign_change():
+    # x^2 + 1 > 0 at both ends (and everywhere): nothing to halve toward
+    with pytest.raises(ValueError, match="^root not bracketed$"):
+        bounds._bisect_root(lambda x: x * x + 1, -1.0, 2.0, 1e-12)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 50, 170, 171])
 def test_kk_root_matches_bisection(k):
     for m in [*range(1, 2001), 10**6, 10**12, 10**30]:

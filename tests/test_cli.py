@@ -575,17 +575,22 @@ OVERFLOW = {
     "all_red-huge": (["construct", "all_red", "--n", "1000000", "--k", "5000", "--r", "2", "--out", "@out"], "C(1000000, 5000)"),
     # two 199-vertex blocks of {1..200}: C(200, 100) k-sets to check
     "design": (["design", "@des"], "C(200, 100)"),
+    # refused before any per-vertex list is built
+    "majority": (["construct", "majority", "--n", "10000000000000000000", "--out", "@out"], "C(10000000000000000000, 3)"),
+    "blowup": (["blowup", "--base", "@base", "--n", "10000000000000000000", "--out", "@out"], "C(10000000000000000000, 2)"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OVERFLOW))
 def test_size_past_index_range_exits_2(tmp_path, capsys, case):
-    out, des = tmp_path / "out", tmp_path / "big.des"
+    out, des, base = tmp_path / "out", tmp_path / "big.des", tmp_path / "base.col"
     full = " ".join(map(str, range(1, 201)))
     des.write_text("200 199 100\n" + full.rsplit(" ", 1)[0] + "\n" + full.split(" ", 1)[1] + "\n")
+    with open(base, "w") as fh:
+        fileio.write_coloring(constructions.all_red(4, 2, 2), fh)
     start = time.perf_counter()
     argv, size = OVERFLOW[case]
-    assert main([str({"@out": out, "@des": des}.get(tok, tok)) for tok in argv]) == 2
+    assert main([str({"@out": out, "@des": des, "@base": base}.get(tok, tok)) for tok in argv]) == 2
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -176,11 +177,26 @@ def test_blow_up_matches_per_edge_rank_oracle(k, n0, n):
         assert list(c.colors) == want
 
 
+def test_blow_up_with_many_parts_matches_the_oracle_in_bounded_memory():
+    # K^2_258 -> 260: 257 parts, past a byte, so the kernel takes its list
+    # path; its table is C(258, 2) profiles of 2 labels each
+    k, n0, n = 2, 258, 260
+    c0 = random_coloring(n0, 3, k, seed=1)
+    tracemalloc.start()
+    try:
+        c = blow_up(c0, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(c.colors) == [c0.colors[colex_rank(padded_index_set(e, n0, k), n0, k)] for e in colex_edges(n, k)]
+    assert peak < 25 * 2**20, peak
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_partition_coloring_matches_its_rule(k):
     # p shuffled (not interval) parts plus one label no vertex takes, and a
     # random counts -> color table drawn per edge, then handed to the kernel
-    # keyed by count vectors over every label below the largest; labels from
+    # keyed by each profile's k part labels in a shuffled order; labels from
     # 299 up do not fit a byte
     rng = random.Random(k)
     for p in (1, 2, 3, 4):
@@ -204,9 +220,8 @@ def test_partition_coloring_matches_its_rule(k):
                     want = list(map(rule, colex_edges(n, k)))
                     profiles = {}
                     for counts, color in table.items():
-                        profile = [0] * (max(part) + 1)
-                        for label, a in zip(labels, counts):
-                            profile[label] = a
+                        profile = [label for label, a in zip(labels, counts) for _ in range(a)]
+                        rng.shuffle(profile)
                         profiles[tuple(profile)] = color
                     c = _partition_coloring(k, r, part, profiles)
                     assert (c.n, c.k, c.r) == (n, k, r)
@@ -215,8 +230,9 @@ def test_partition_coloring_matches_its_rule(k):
 
 @pytest.mark.parametrize("r", [2, 300])
 def test_partition_coloring_refuses_a_profile_missing_from_its_table(r):
-    # parts {1, 2, 3} and {4, 5, 6}: profile (2, 1) occurs but has no color
-    table = {(i, 3 - i): 1 for i in (0, 1, 3)}
+    # parts {1, 2, 3} and {4, 5, 6}: profile (0, 0, 1) occurs but has no
+    # color; the others are keyed in mixed orders
+    table = {(1, 1, 1): 1, (1, 0, 1): 1, (0, 0, 0): 1}
     with pytest.raises(ValueError, match=rf"^colors must lie in \[1, {r}\]$"):
         _partition_coloring(3, r, [0, 0, 0, 1, 1, 1], table)
 
