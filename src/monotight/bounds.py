@@ -88,27 +88,25 @@ def asymptotic_upper_bound(n: int, r: int, k: int, t: int, s: int, eps: float) -
 
 
 def fg_vertex_bound(n: int, r: int, k: int) -> tuple[int, float]:
-    """Smallest q with r <= q^(k-1) + ... + q + 1, and the vertex bound n/q."""
+    """Smallest q with r <= q^(k-1) + ... + q + 1, and the vertex bound n/q.
+
+    q is bisected over [1, r], where the sum grows with q and reaches r by
+    q = r, or over [1, 2] once k > r.bit_length(): then 2^(k-1) > r, and
+    the one probe, q = 1, sums to k with no power taken.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     _check_r(r)
     if k < 2:
         raise ValueError("k must be at least 2")
-    if k >= r:
-        q = 1  # the sum is k
-    elif k > r.bit_length():
-        q = 2  # q = 1 sums to k < r, and 2^(k-1) > r
-    else:
-        # the sum grows with q and reaches r by q = r
-        lo, hi = 1, r
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _geometric_sum(mid, k) >= r:
-                hi = mid
-            else:
-                lo = mid + 1
-        q = lo
-    return q, n / q
+    lo, hi = 1, r if k <= r.bit_length() else 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _geometric_sum(mid, k) >= r:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, n / lo
 
 
 def _geometric_sum(q: int, k: int) -> int:
@@ -164,10 +162,7 @@ def optimize_2323() -> tuple[float, float, float]:
     of (1 - z)^3 = z; the last two then reduce to z x^2 + 3x - 3 = 0. The
     value is the objective at that point, so it is an attained value.
     """
-    return _minmax_point(_z_root())
-
-
-def _minmax_point(z: float) -> tuple[float, float, float]:
+    z = _z_root()
     x = (math.sqrt(9 + 12 * z) - 3) / (2 * z)
     y = 1 - z
     return x, y, _minmax_objective(x, y)
@@ -184,12 +179,11 @@ def special_constants() -> dict:
     if abs(x0_closed - x0_root) > 1e-12:
         raise AssertionError("closed form and bisection disagree on x0")
     lam = 6 * math.sqrt(21) - 27
-    z = _z_root()
-    x, y, value = _minmax_point(z)
+    x, y, value = optimize_2323()
     return {
         "x0": x0_closed,
         "lambda_2313": lam,
-        "z_root": z,
+        "z_root": 1 - y,
         "minmax_2323": value,
         "minmax_argmin": [x, y],
         "lambda_target_2323": "3/8",

@@ -296,7 +296,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: internal: {exc!r}", file=sys.stderr)
         return 3
     return 1 if report.get("violations") else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -107,6 +107,7 @@ def blow_up(c0: Coloring, n: int) -> Coloring:
         labels: base[padded_index_set(vertices_to_mask(i + 1 for i in labels), n0, k)]
         for labels in combinations_with_replacement(range(num_parts), k)
     }
+    del base  # one C(n0, k) dict less at the kernel's peak
     return _partition_coloring(k, c0.r, [v % num_parts for v in range(n)], colors)
 
 

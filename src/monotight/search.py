@@ -61,13 +61,7 @@ def _initial_incumbent(n: int, r: int, k: int, t: int, s: int) -> tuple[int, Col
         candidates.append(constructions.majority_coloring(n))
         candidates.append(constructions.parity_coloring(n))
         candidates.append(constructions.two_clique_coloring(n))
-    best_val: int | None = None
-    best_col: Coloring | None = None
-    for cand in candidates:
-        val = measure(cand, t, s).value
-        if best_val is None or val < best_val:
-            best_val, best_col = val, cand
-    return best_val, best_col
+    return min(((measure(c, t, s).value, c) for c in candidates), key=lambda pair: pair[0])
 
 
 def _edge_tables(n: int, k: int, t: int, s: int) -> tuple[list[int], list[int]]:

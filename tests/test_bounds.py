@@ -168,9 +168,12 @@ def _fg_sum(q, k):
     return sum(q**i for i in range(k))
 
 
-@pytest.mark.parametrize("k", range(2, 7))
+@pytest.mark.parametrize("k", range(2, 71))
 def test_fg_vertex_bound_q_is_minimal(k):
-    for r in [*range(1, 2001), 10**9, 10**18]:
+    # r = 2^(k-1) is the least r whose bit length reaches k, where the
+    # search range grows from [1, 2] to [1, r]
+    edges = [2 ** (k - 1) - 1, 2 ** (k - 1), 2 ** (k - 1) + 1, 2**k - 1]
+    for r in [*(range(1, 2001) if k < 7 else ()), 10**9, 10**18, *edges]:
         q, _ = bounds.fg_vertex_bound(9, r, k)
         assert _fg_sum(q, k) >= r and (q == 1 or _fg_sum(q - 1, k) < r), (r, k, q)
 
@@ -279,6 +282,16 @@ def test_optimize_2323():
     sc = bounds.special_constants()
     assert (sc["minmax_argmin"], sc["minmax_2323"]) == ([x, y], value)
     assert y == 1 - sc["z_root"]
+    assert sc["z_root"] == bounds._z_root()
+    # every float that `monotight constants` prints, bit for bit
+    assert [repr(v) for v in (sc["x0"], sc["lambda_2313"], sc["z_root"], sc["minmax_2323"], *sc["minmax_argmin"])] == [
+        "0.7912878474779199",
+        "0.49545416973504075",
+        "0.31767219617197995",
+        "0.240921265892094",
+        "0.9119379945687249",
+        "0.68232780382802",
+    ]
 
 
 def test_optimize_2323_against_numeric_search():

@@ -312,6 +312,19 @@ def test_uncaught_exception_exits_3_with_one_stderr_line(monkeypatch, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_x0_cross_check_failure_exits_3(monkeypatch, capsys):
+    # a bisection that misses the root: the closed form and it disagree on x0
+    monkeypatch.setattr(bounds, "_bisect_root", lambda fun, lo, hi, tol: 0.5)
+    with pytest.raises(AssertionError, match="disagree on x0"):
+        bounds.special_constants()
+    code = exit_code("constants")
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal: AssertionError(")
+    assert captured.err.count("\n") == 1
+
+
 def test_search_deeper_than_recursion_limit(capsys):
     # C(46, 2) = 1035 edges, one search depth per edge
     code, rep = run(capsys, "search", "--n", "46", "--r", "2", "--k", "2", "--t", "1", "--s", "2", "--budget", "5000")
