@@ -5,8 +5,10 @@ Majority, parity, two-clique and every blow-up are partition rules: an
 edge's color depends only on its profile, its vertices' part labels.
 One kernel, `_partition_coloring`, writes such a rule, given as the parts
 and a profile -> color table, one colex block at a time. Majority, parity
-and two-clique split the vertices into {1..a} and the rest; a blow-up
-splits them round-robin and gives a profile the padded parts' base color.
+and two-clique split the vertices into {1..a} and the rest
+(`two_part_rule`); a blow-up splits them round-robin and gives a profile
+the padded parts' base color (`blow_up_table`). The same tables feed
+`core.quotient_max_shadow_by_ts`, which measures a rule without its edges.
 """
 
 from __future__ import annotations
@@ -61,39 +63,55 @@ def _partition_coloring(
     return Coloring(n, k, r, out)
 
 
-def _two_part_coloring(n: int, a: int, by_count: tuple[int, ...]) -> Coloring:
-    """k=3, r=2: edge e gets color by_count[|e ∩ {1..a}|]."""
+# name -> (a at n, the size of part 0 = {1..a}; by_count, by_count[i] the color
+# of an edge with i vertices in part 0)
+TWO_PART_RULES = {
+    "majority": (lambda n: (n + 1) // 2, (2, 2, 1, 1)),
+    "two_clique": (lambda n: int((math.sqrt(21) - 3) / 2 * n), (1, 2, 2, 1)),
+    "parity": (lambda n: (n + 1) // 2, (2, 1, 2, 1)),
+}
+
+
+def two_part_rule(name: str, n: int) -> tuple[tuple[int, int], dict[tuple[int, ...], int]]:
+    """The k=3, r=2 rule `name` of TWO_PART_RULES at n: its part sizes (a, n-a)
+    and its profile -> color table, profile (0,)*i + (1,)*(3-i) taking
+    by_count[i]."""
+    split, by_count = TWO_PART_RULES[name]
+    a = split(n)
+    return (a, n - a), {(0,) * i + (1,) * (3 - i): by_count[i] for i in range(4)}
+
+
+def _two_part_coloring(name: str, n: int) -> Coloring:
+    """The rule `name` of TWO_PART_RULES expanded on K^3_n."""
     if n < 3:
         raise ValueError("n must be at least 3")
     _kset_count(n, 3)
-    colors = {(0,) * i + (1,) * (3 - i): by_count[i] for i in range(4)}  # i vertices in part 0
-    return _partition_coloring(3, 2, [0] * a + [1] * (n - a), colors)
+    (a, b), colors = two_part_rule(name, n)
+    return _partition_coloring(3, 2, [0] * a + [1] * b, colors)
 
 
 def majority_coloring(n: int) -> Coloring:
     """Red iff the edge has at least two vertices in {1..ceil(n/2)}."""
-    return _two_part_coloring(n, (n + 1) // 2, (2, 2, 1, 1))
+    return _two_part_coloring("majority", n)
 
 
 def two_clique_coloring(n: int) -> Coloring:
     """Red inside {1..floor(x0*n)} or inside its complement, blue elsewhere,
     where x0 = (sqrt(21)-3)/2."""
-    return _two_part_coloring(n, int((math.sqrt(21) - 3) / 2 * n), (1, 2, 2, 1))
+    return _two_part_coloring("two_clique", n)
 
 
 def parity_coloring(n: int) -> Coloring:
     """Red iff the edge meets {1..ceil(n/2)} in an odd number of vertices."""
-    return _two_part_coloring(n, (n + 1) // 2, (2, 1, 2, 1))
+    return _two_part_coloring("parity", n)
 
 
 def blow_up(c0: Coloring, n: int) -> Coloring:
     """Blow-up extension of a base coloring on K^k_{n0} to K^k_n.
 
-    {1..n} is split round-robin into N = n0-k+1 parts labelled 0..N-1; an
-    edge is colored by the base color of its touched part index set, padded
-    up to size k with the reserved base vertices N+1..n0 (`padded_index_set`):
-    a table over the C(N+k-1, k) sorted label k-tuples. At n = n0 the base
-    coloring itself is returned, since the padded map is not the identity.
+    {1..n} is split round-robin into N = n0-k+1 parts labelled 0..N-1, and
+    each edge is colored by `blow_up_table(c0)`. At n = n0 the base coloring
+    itself is returned, since the padded map is not the identity.
     """
     n0, k = c0.n, c0.k
     if n < n0:
@@ -101,14 +119,21 @@ def blow_up(c0: Coloring, n: int) -> Coloring:
     if n == n0:
         return c0
     _kset_count(n, k)
-    base = dict(zip(colex_edges(n0, k), c0.colors))
     num_parts = n0 - k + 1
-    colors = {  # label i as base vertex i+1, which padded_index_set only pads
+    return _partition_coloring(k, c0.r, [v % num_parts for v in range(n)], blow_up_table(c0))
+
+
+def blow_up_table(c0: Coloring) -> dict[tuple[int, ...], int]:
+    """A blow-up's profile -> color table, whatever its n: each of the
+    C(N+k-1, k) ascending label k-tuples, N = n0-k+1, gets the base color of
+    the parts it touches padded up to size k with the reserved base vertices
+    N+1..n0 (`padded_index_set`)."""
+    n0, k = c0.n, c0.k
+    base = dict(zip(colex_edges(n0, k), c0.colors))
+    return {  # label i as base vertex i+1, which padded_index_set only pads
         labels: base[padded_index_set(vertices_to_mask(i + 1 for i in labels), n0, k)]
-        for labels in combinations_with_replacement(range(num_parts), k)
+        for labels in combinations_with_replacement(range(n0 - k + 1), k)
     }
-    del base  # one C(n0, k) dict less at the kernel's peak
-    return _partition_coloring(k, c0.r, [v % num_parts for v in range(n)], colors)
 
 
 def padded_index_set(e: int, n0: int, k: int) -> int:

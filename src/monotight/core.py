@@ -25,6 +25,15 @@ lies in top. So the j-subsets of a run's edges are Q | y for each
 the one key is Q = 0, with bits low | top. For j = 2 each Q is one bit of
 top: peeling top's bits from low to high gives each Q with bits low | (the
 bits peeled before it). `_run_keys` walks these pairs for both run kernels.
+
+A partition rule, which colors an edge by its profile (its vertices' part
+labels), is also measured without its edges, on its profile classes
+(`quotient_max_shadow_by_ts`). A class with edges is (k-1)-tight connected,
+two classes touch at t exactly when they share a t-subprofile, and an
+s-subprofile b stands for the prod_i C(|P_i|, b_i) s-sets with that profile.
+So a class is one mask over the profiles below it (`_profile_classes`),
+components merge masks on shared t-subprofile bits, and a component's
+s-shadow is a sum of per-profile weights, at a cost that does not grow with n.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
 
@@ -511,3 +520,72 @@ def measure(c: Coloring, t: int, s: int) -> MeasureResult:
             break
     col, col_runs, comp = found
     return MeasureResult(best, col, tuple(col_runs[i] for i in comp))
+
+
+def _profile_classes(p: int, k: int) -> tuple[list[tuple[int, ...]], list[int], list[tuple[tuple[int, ...], int]]]:
+    """The tables `quotient_max_shadow_by_ts` reads for p-part rules on k-sets.
+
+    Every profile of j = 1..k labels, as an ascending label tuple, gets one
+    bit, level by level and in `combinations_with_replacement` order within a
+    level. Returns those profiles, bit i standing for profiles[i]; levels[j],
+    the mask of the j-profiles' bits (levels[0] = 0); and each of the
+    C(p+k-1, k) classes, the k-profiles, with its mask: the bits of its
+    j-subprofiles for every j <= k, its own bit the highest.
+    """
+    profiles: list[tuple[int, ...]] = []
+    levels = [0]
+    for j in range(1, k + 1):
+        level = list(combinations_with_replacement(range(p), j))
+        levels.append(((1 << len(level)) - 1) << len(profiles))
+        profiles += level
+    bit = {prof: 1 << i for i, prof in enumerate(profiles)}
+    classes = [(cls, sum(bit[sub] for j in range(1, k + 1) for sub in set(combinations(cls, j)))) for cls in level]
+    return profiles, levels, classes
+
+
+def quotient_max_shadow_by_ts(
+    sizes: Sequence[int],
+    colors: dict[tuple[int, ...], int],
+    classes: tuple,
+) -> dict[tuple[int, int], int]:
+    """measure(c, t, s).value for every valid (t, s), c being the partition
+    rule with parts of the given sizes that colors an edge colors[labels],
+    labels its vertices' part labels ascending; classes is
+    `_profile_classes(len(sizes), k)`. No edge is built.
+
+    A profile b weighs prod_i C(sizes[i], b_i), its number of vertex sets,
+    and a class without edges (weight 0) is skipped. Each color's classes
+    start as one component each, being (k-1)-tight connected; for t = k-1
+    down to 1 the components whose masks share a t-profile bit merge, as
+    `search.exact_M` merges its components, and a component's s-shadow is
+    the weight of its s-profile bits.
+    """
+    profiles, levels, table = classes
+    k = len(levels) - 1
+    weight = {1 << i: math.prod(math.comb(sizes[x], prof.count(x)) for x in set(prof)) for i, prof in enumerate(profiles)}
+    groups: dict[int, list[int]] = {}
+    for cls, mask in table:
+        if weight[1 << (mask.bit_length() - 1)]:  # the class has edges
+            groups.setdefault(colors[cls], []).append(mask)
+    out = {(t, s): 0 for t in range(1, k) for s in range(1, k + 1)}
+    for comps in groups.values():
+        for t in range(k - 1, 0, -1):
+            near = levels[t]
+            merged: list[int] = []
+            for mask in comps:
+                meets = mask & near
+                kept = []
+                for comp in merged:
+                    if comp & meets:
+                        mask |= comp
+                    else:
+                        kept.append(comp)
+                kept.append(mask)
+                merged = kept
+            comps = merged
+            for comp in comps:
+                for s in range(1, k + 1):
+                    cnt = sum(map(weight.__getitem__, _sub_masks(comp & levels[s], 1)))
+                    if cnt > out[t, s]:
+                        out[t, s] = cnt
+    return out

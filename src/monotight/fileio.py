@@ -9,10 +9,11 @@ comments everywhere.
 
 A coloring's body is read once. A body in the writer's form with one-digit
 colors is read as bytes by one `translate`. Any other body of one int per
-line, with no comment or blank line, is parsed in bulk; `int` takes padded
-lines, CRLF line ends, "+3" and "03" as the line loop does. The line loop is
-left for explicit bodies, for comment and blank lines, and for naming the
-bad line of an error. Every path gives the same colors and the same errors.
+line is parsed in bulk, its comment and blank lines dropped as the parse
+meets them; `int` takes padded lines, CRLF line ends, "+3" and "03" as the
+line loop does. The line loop is left for explicit bodies, which fill one
+list of m colors by rank, and for naming the bad line of an error. Every
+path gives the same colors and the same errors.
 
 Colors are checked once, when `Coloring` is built, and stored as bytes
 (r <= 255) or a tuple. The writer takes them as stored, and the reader
@@ -26,6 +27,7 @@ hypergraph file with a repeated edge.
 from __future__ import annotations
 
 import io
+from collections import defaultdict
 from typing import Callable, Iterable, TextIO, TypeVar
 
 from .core import (
@@ -142,24 +144,34 @@ def read_coloring(fh: TextIO) -> Coloring:
         digits = raw[::2]
         if raw[1::2] == b"\n" * m and not digits.translate(None, _DIGITS):
             return _checked(Coloring, n, k, r, digits.translate(_DIGIT_VALUES))
-    # Any other body is parsed in bulk, one `int` per line. `int` refuses a
-    # blank, comment or explicit line, so a parse that succeeds reads the
-    # colors the line loop would. A '#' or an empty line would fail it, maybe
-    # late, so it is not tried then.
-    if b"#" not in raw and b"\n\n" not in raw:
+    # Any other body is parsed in bulk, one `int` per line. A line that `int`
+    # refuses ends the parse there; a blank or comment line is dropped and the
+    # parse resumes after it, and any other line (an explicit one, or a bad
+    # one) leaves the body to the line loop. `int` takes what the line loop
+    # takes of a one-int line, so a parse that succeeds reads its colors;
+    # `+=` keeps those before a refused line.
+    buf = io.BytesIO(raw)
+    colors: list[int] = []
+    while True:
         try:
-            colors = list(map(int, io.BytesIO(raw)))
+            colors += map(int, buf)
         except ValueError:
-            pass
+            end = buf.tell()
+            line = raw[raw.rfind(b"\n", 0, end - 1) + 1 : end].strip()
+            if not line or line.startswith(b"#"):
+                continue
         else:
             if len(colors) == m:
                 return _checked(Coloring, n, k, r, colors)
+        break
+    del colors  # a partial parse, freed before the line loop
     # Otherwise the line loop reads the bytes, split at "\n" as a text file
     # opened in Python's default mode ends each line (a StringIO would hold
     # four bytes per character).
     lines = io.TextIOWrapper(io.BytesIO(raw), "utf-8", "surrogatepass", newline="\n")
     compact: list[int] = []
-    explicit: dict[int, int] = {}
+    explicit: list[int | None] | defaultdict[int, int | None]
+    listed = 0
     mode = None
     for lineno, line in _data_lines(lines, start=lineno + 1):
         vs = _ints(line, lineno)
@@ -173,6 +185,11 @@ def read_coloring(fh: TextIO) -> Coloring:
             )
         if mode is None:
             mode = kind
+            if kind == "explicit":
+                # the colors by rank, None until listed: a list of m when the
+                # body has a line for each edge, else a dict, as such a body
+                # ends in the missing-edge error
+                explicit = [None] * m if m <= raw.count(b"\n") + 1 else defaultdict(lambda: None)
         elif mode != kind:
             raise FormatError(f"line {lineno}: cannot mix compact and explicit lines")
         if kind == "compact":
@@ -183,14 +200,14 @@ def read_coloring(fh: TextIO) -> Coloring:
                 rank = colex_rank(vertices, n, k)
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: {exc}") from exc
-            if rank in explicit:
+            if explicit[rank] is not None:
                 raise FormatError(f"line {lineno}: duplicate edge {vertices}")
             explicit[rank] = col
+            listed += 1
     if mode == "explicit":
-        if len(explicit) != m:
-            raise FormatError(f"explicit coloring lists {len(explicit)} of {m} edges")
-        # pop frees each rank as its color is listed
-        compact = [explicit.pop(rank) for rank in range(m)]
+        if listed != m:
+            raise FormatError(f"explicit coloring lists {listed} of {m} edges")
+        compact = explicit
     if len(compact) != m:
         raise FormatError(f"compact coloring lists {len(compact)} of {m} colors")
     return _checked(Coloring, n, k, r, compact)

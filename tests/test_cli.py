@@ -650,12 +650,13 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
 
 
 _MAX_SHADOW_BY_TS = properties._max_shadow_by_ts
+_QUOTIENT = properties.quotient_max_shadow_by_ts
 
 
 def _zero_base(c):
-    # the base coloring's shadows read 0, so every blow-up breaks the recursive bound
-    values = _MAX_SHADOW_BY_TS(c)
-    return dict.fromkeys(values, 0) if c.n == 6 else values
+    # the base coloring's shadows read 0, so every blow-up breaks the recursive bound;
+    # the blow-ups themselves are measured by the quotient kernel, not here
+    return dict.fromkeys(_MAX_SHADOW_BY_TS(c), 0)
 
 
 # each suite's bound raised past any shadow it is compared with, or, for
@@ -678,3 +679,16 @@ def test_broken_bound_is_reported_and_exits_1(monkeypatch, capsys, suite):
     assert rep["violations"]
     if suite == "blowup":
         assert {v["kind"] for v in rep["violations"]} == {"recursive-bound"}
+
+
+def test_inflated_blow_up_values_are_reported_and_exit_1(monkeypatch, capsys):
+    # the blown-up side of the recursive bound, read from the quotient kernel,
+    # past any base side: the bound is checked on that side too
+    def inflated(sizes, colors, classes):
+        return {ts: value + math.comb(sum(sizes), 3) ** 2 for ts, value in _QUOTIENT(sizes, colors, classes).items()}
+
+    monkeypatch.setattr(properties, "quotient_max_shadow_by_ts", inflated)
+    code, rep = run(capsys, "verify", "blowup", "--trials", "2")
+    assert code == 1
+    assert len(rep["violations"]) == 2 * 3
+    assert {v["kind"] for v in rep["violations"]} == {"recursive-bound"}

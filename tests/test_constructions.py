@@ -7,20 +7,25 @@ import pytest
 
 from monotight import bounds, properties
 from monotight.constructions import (
+    TWO_PART_RULES,
     _partition_coloring,
     all_red,
     blow_up,
+    blow_up_table,
     majority_coloring,
     padded_index_set,
     parity_coloring,
     steiner_coloring,
     two_clique_coloring,
+    two_part_rule,
 )
 from monotight.core import (
+    _profile_classes,
     colex_edges,
     colex_rank,
     mask_to_vertices,
     measure,
+    quotient_max_shadow_by_ts,
     shadow,
     t_tight_components,
     vertices_to_mask,
@@ -278,6 +283,45 @@ def test_blow_up_recursive_inequality_sample():
                 for ell in range(1, s + 1)
             )
             assert lhs <= rhs
+
+
+@pytest.mark.parametrize("n0, k", [(n0, k) for n0 in (5, 6, 7) for k in (3, 4)])
+def test_quotient_matches_the_expanded_blow_up(n0, k):
+    # every (t, s) of seeded blow-ups up to n = 30, parts of size below k
+    # (classes without edges) included at n just above n0
+    rng = random.Random(100 * n0 + k)
+    num_parts = n0 - k + 1
+    classes = _profile_classes(num_parts, k)
+    for trial in range(12):
+        r = 2 + trial % 2
+        n = n0 + 1 if trial < 2 else rng.randint(n0 + 1, 30)
+        c0 = random_coloring(n0, r, k, seed=rng.randrange(2**32))
+        sizes = [len(range(i, n, num_parts)) for i in range(num_parts)]
+        got = quotient_max_shadow_by_ts(sizes, blow_up_table(c0), classes)
+        assert got == properties._max_shadow_by_ts(blow_up(c0, n)), (n0, k, r, n)
+
+
+@pytest.mark.parametrize("name", sorted(TWO_PART_RULES))
+def test_quotient_matches_the_expanded_two_part_rules(name):
+    build, _ = TWO_PART[name]
+    classes = _profile_classes(2, 3)
+    for n in range(3, 31):
+        sizes, table = two_part_rule(name, n)
+        assert quotient_max_shadow_by_ts(sizes, table, classes) == properties._max_shadow_by_ts(build(n)), n
+
+
+@pytest.mark.parametrize("n", [10**4, 10**6])
+def test_quotient_closed_forms_at_large_n(n):
+    # the closed forms measure-large pins at n = 120, at sizes whose colorings could not be built
+    classes = _profile_classes(2, 3)
+    (a, b), table = two_part_rule("two_clique", n)
+    value = quotient_max_shadow_by_ts((a, b), table, classes)[1, 3]
+    assert value == math.comb(n, 3) - math.comb(a, 3) - math.comb(b, 3)
+    sizes, table = two_part_rule("majority", n)
+    assert quotient_max_shadow_by_ts(sizes, table, classes)[2, 2] == math.comb(n, 2) - math.comb(n // 2, 2)
+    sizes, table = two_part_rule("parity", n)
+    ratio = quotient_max_shadow_by_ts(sizes, table, classes)[2, 3] / math.comb(n, 3)
+    assert abs(ratio - 3 / 8) < (1e-6 if n == 10**6 else 1e-4)  # lambda_target_2323
 
 
 def test_blow_up_argument_errors():

@@ -1,6 +1,8 @@
 import io
 import math
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -12,8 +14,9 @@ from monotight.constructions import (
     steiner_coloring,
     two_clique_coloring,
 )
-from monotight.core import Coloring, Hypergraph
+from monotight.core import Coloring, Hypergraph, colex_edges, mask_to_vertices
 from monotight.designs import affine_plane, builtin_design
+from monotight.search import random_coloring
 from monotight.fileio import (
     FormatError,
     read_coloring,
@@ -235,6 +238,7 @@ BULK_EDITS = {
     "CRLF line ends": lambda lines: [f"{line}\r" for line in lines],
     "a color as +3": lambda lines: ["+3", *lines[1:]],
     "a color as 03": lambda lines: ["03", *lines[1:]],
+    "comment and blank lines": lambda lines: ["# first", *lines[:5], "", "  ", "\r", "  # mid", *lines[5:], "# end"],
 }
 
 
@@ -258,6 +262,50 @@ def test_one_int_per_line_is_read_in_bulk(monkeypatch, edit):
     monkeypatch.setattr(fileio, "_data_lines", header_only)
     assert read_coloring(io.StringIO(text)) == c
     assert calls == [1]
+
+
+def test_a_commented_body_reads_as_fast_as_a_plain_one():
+    # r = 12: two-digit colors, so the plain body takes the bulk int parse;
+    # a line loop over the commented one took about 6x as long
+    buf = io.StringIO()
+    write_coloring(random_coloring(60, 12, 3, seed=1), buf)
+    plain = buf.getvalue()
+    commented = "# a K^3_60 coloring\n" + plain + "\n# end\n"
+    times = {plain: [], commented: []}
+    for _ in range(5):
+        for text in times:
+            start = time.perf_counter()
+            read_coloring(io.StringIO(text))
+            times[text].append(time.perf_counter() - start)
+    assert read_coloring(io.StringIO(commented)) == read_coloring(io.StringIO(plain))
+    assert min(times[commented]) < 1.5 * min(times[plain]), times
+
+
+def test_an_explicit_body_is_read_in_bounded_memory():
+    # K^3_40 explicit, 9,880 lines and 102 kB: with a dict entry and a rank
+    # int kept per line the read peaked at 0.72 MB
+    c = random_coloring(40, 3, 3, seed=2)
+    text = "40 3 3\n" + "".join(
+        " ".join(map(str, mask_to_vertices(e))) + f" {col}\n" for e, col in zip(colex_edges(40, 3), c.colors)
+    )
+    fh = io.StringIO(text)
+    tracemalloc.start()
+    try:
+        got = read_coloring(fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == c
+    assert peak < 0.36e6, peak
+
+
+def test_a_short_explicit_body_under_a_huge_header_is_a_format_error():
+    # the body cannot list C(999995, 3) edges, so no table of that size is made;
+    # a duplicate line is still named
+    with pytest.raises(FormatError, match="^explicit coloring lists 2 of 166663666684499965 edges$"):
+        read_coloring(io.StringIO("999995 3 10\n1 2 3 1\n1 2 4 1\n"))
+    with pytest.raises(FormatError, match=r"^line 3: duplicate edge \[3, 2, 1\]$"):
+        read_coloring(io.StringIO("999995 3 10\n1 2 3 1\n3 2 1 1\n"))
 
 
 def test_short_file_under_a_huge_header_is_a_format_error(tmp_path):
