@@ -2,13 +2,13 @@
 design-induced colorings.
 
 Majority, parity, two-clique and every blow-up are partition rules: an
-edge's color depends only on its profile, its vertices' part labels.
-One kernel, `_partition_coloring`, writes such a rule, given as the parts
-and a profile -> color table, one colex block at a time. Majority, parity
-and two-clique split the vertices into {1..a} and the rest
-(`two_part_rule`); a blow-up splits them round-robin and gives a profile
-the padded parts' base color (`blow_up_table`). The same tables feed
-`core.quotient_max_shadow_by_ts`, which measures a rule without its edges.
+edge's color depends only on its profile, its vertices' part labels. A rule
+is the pair (part sizes, table), the table keyed by ascending label k-tuples
+(`two_part_rule`, `blow_up_rule`); `core.quotient_max_shadow_by_ts` measures
+it without its edges, and `_partition_coloring` writes it out one colex
+block at a time. Majority, parity and two-clique put {1..a} in part 0 and
+the rest in part 1; a blow-up splits the vertices round-robin and gives a
+profile the padded parts' base color.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ def _partition_coloring(
     k: int, r: int, part: Sequence[int], colors: dict[tuple[int, ...], int]
 ) -> Coloring:
     """The r-coloring of K^k_n, n = len(part), that gives each edge the color
-    colors[labels], labels its k vertices' parts in any order, each multiset
-    once; part[v-1] is vertex v's part, in range(p) with p = max(part) + 1.
+    colors[labels], labels its k vertices' parts ascending; part[v-1] is
+    vertex v's part, in range(p) with p = max(part) + 1. Other keys raise
+    ValueError; one naming a part from p up, which has no vertex, is skipped.
 
     As in `core.color_runs`, for each (k-1)-set top the edges top | x with
     x < min(top) are consecutive in colex order, x ascending, and their
@@ -44,8 +45,10 @@ def _partition_coloring(
     reads gets 0, and so does a missing profile, which `Coloring` refuses.
     """
     n, p = len(part), max(part) + 1
+    if any(len(labels) != k or labels[0] < 0 or list(labels) != sorted(labels) for labels in colors):
+        raise ValueError(f"a rule's table is keyed by ascending {k}-tuples of labels >= 0")
     weight = [(k + 1) ** i for i in range(p)]
-    by_key = {sum(map(weight.__getitem__, labels)): color for labels, color in colors.items()}
+    by_key = {sum(map(weight.__getitem__, labels)): color for labels, color in colors.items() if labels[-1] < p}
     keys = _colex_sums([weight[i] for i in part], k - 1)  # of the (k-1)-sets, in colex order
     if r <= 255 and p <= 256:
         part, out, blank = bytes(part), bytearray(), bytearray(256).copy
@@ -109,30 +112,31 @@ def parity_coloring(n: int) -> Coloring:
 def blow_up(c0: Coloring, n: int) -> Coloring:
     """Blow-up extension of a base coloring on K^k_{n0} to K^k_n.
 
-    {1..n} is split round-robin into N = n0-k+1 parts labelled 0..N-1, and
-    each edge is colored by `blow_up_table(c0)`. At n = n0 the base coloring
-    itself is returned, since the padded map is not the identity.
+    Each edge is colored by `blow_up_rule(c0, n)`, vertex v in part
+    (v-1) mod N. At n = n0 the base coloring itself is returned, since the
+    padded map is not the identity.
     """
-    n0, k = c0.n, c0.k
-    if n < n0:
-        raise ValueError(f"need n >= n0 = {n0}")
-    if n == n0:
+    if n == c0.n:
         return c0
-    _kset_count(n, k)
-    num_parts = n0 - k + 1
-    return _partition_coloring(k, c0.r, [v % num_parts for v in range(n)], blow_up_table(c0))
+    _kset_count(n, c0.k)
+    sizes, table = blow_up_rule(c0, n)
+    return _partition_coloring(c0.k, c0.r, [v % len(sizes) for v in range(n)], table)
 
 
-def blow_up_table(c0: Coloring) -> dict[tuple[int, ...], int]:
-    """A blow-up's profile -> color table, whatever its n: each of the
-    C(N+k-1, k) ascending label k-tuples, N = n0-k+1, gets the base color of
-    the parts it touches padded up to size k with the reserved base vertices
-    N+1..n0 (`padded_index_set`)."""
+def blow_up_rule(c0: Coloring, n: int) -> tuple[list[int], dict[tuple[int, ...], int]]:
+    """A blow-up's rule at n > n0 (at n0 the blow-up is c0 itself): the sizes
+    of the N = n0-k+1 parts that split {1..n} round-robin, and a table that
+    gives each ascending label k-tuple the base color of the parts it
+    touches, label i as base vertex i+1, padded up to size k with the
+    reserved base vertices N+1..n0 (`padded_index_set`)."""
     n0, k = c0.n, c0.k
+    if n <= n0:
+        raise ValueError(f"a blow-up rule needs n > n0 = {n0}")
+    num_parts = n0 - k + 1
     base = dict(zip(colex_edges(n0, k), c0.colors))
-    return {  # label i as base vertex i+1, which padded_index_set only pads
+    return [len(range(i, n, num_parts)) for i in range(num_parts)], {
         labels: base[padded_index_set(vertices_to_mask(i + 1 for i in labels), n0, k)]
-        for labels in combinations_with_replacement(range(n0 - k + 1), k)
+        for labels in combinations_with_replacement(range(num_parts), k)
     }
 
 

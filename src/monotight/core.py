@@ -26,18 +26,20 @@ the one key is Q = 0, with bits low | top. For j = 2 each Q is one bit of
 top: peeling top's bits from low to high gives each Q with bits low | (the
 bits peeled before it). `_run_keys` walks these pairs for both run kernels.
 
-A partition rule, which colors an edge by its profile (its vertices' part
-labels), is also measured without its edges, on its profile classes
-(`quotient_max_shadow_by_ts`). A class with edges is (k-1)-tight connected,
-two classes touch at t exactly when they share a t-subprofile, and an
-s-subprofile b stands for the prod_i C(|P_i|, b_i) s-sets with that profile.
-So a class is one mask over the profiles below it (`_profile_classes`),
-components merge masks on shared t-subprofile bits, and a component's
-s-shadow is a sum of per-profile weights, at a cost that does not grow with n.
+A partition rule (sizes, table) has parts of sizes[i] vertices and colors
+an edge by its profile, its vertices' part labels ascending. It is measured
+without its edges, on its profile classes (`quotient_max_shadow_by_ts`).
+A class with edges is (k-1)-tight connected, two classes touch at t exactly
+when they share a t-subprofile, and an s-subprofile b stands for the
+prod_i C(|P_i|, b_i) s-sets with that profile. So a class is one mask over
+the profiles below it (`_profile_classes`), components merge masks on
+shared t-subprofile bits, and a component's s-shadow is a sum of
+per-profile weights, at a cost that does not grow with n.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -522,7 +524,8 @@ def measure(c: Coloring, t: int, s: int) -> MeasureResult:
     return MeasureResult(best, col, tuple(col_runs[i] for i in comp))
 
 
-def _profile_classes(p: int, k: int) -> tuple[list[tuple[int, ...]], list[int], list[tuple[tuple[int, ...], int]]]:
+@functools.cache
+def _profile_classes(p: int, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]]:
     """The tables `quotient_max_shadow_by_ts` reads for p-part rules on k-sets.
 
     Every profile of j = 1..k labels, as an ascending label tuple, gets one
@@ -533,25 +536,23 @@ def _profile_classes(p: int, k: int) -> tuple[list[tuple[int, ...]], list[int], 
     j-subprofiles for every j <= k, its own bit the highest.
     """
     profiles: list[tuple[int, ...]] = []
-    levels = [0]
+    levels, level = [0], []  # no classes at k = 0
     for j in range(1, k + 1):
         level = list(combinations_with_replacement(range(p), j))
         levels.append(((1 << len(level)) - 1) << len(profiles))
         profiles += level
     bit = {prof: 1 << i for i, prof in enumerate(profiles)}
-    classes = [(cls, sum(bit[sub] for j in range(1, k + 1) for sub in set(combinations(cls, j)))) for cls in level]
-    return profiles, levels, classes
+    classes = tuple((cls, sum(bit[sub] for j in range(1, k + 1) for sub in set(combinations(cls, j)))) for cls in level)
+    return tuple(profiles), tuple(levels), classes
 
 
-def quotient_max_shadow_by_ts(
-    sizes: Sequence[int],
-    colors: dict[tuple[int, ...], int],
-    classes: tuple,
-) -> dict[tuple[int, int], int]:
+def quotient_max_shadow_by_ts(sizes: Sequence[int], table: dict[tuple[int, ...], int]) -> dict[tuple[int, int], int]:
     """measure(c, t, s).value for every valid (t, s), c being the partition
-    rule with parts of the given sizes that colors an edge colors[labels],
-    labels its vertices' part labels ascending; classes is
-    `_profile_classes(len(sizes), k)`. No edge is built.
+    rule (sizes, table) on p = len(sizes) parts: an edge gets table[labels],
+    labels its vertices' part labels ascending, a k-tuple as
+    `combinations_with_replacement(range(p), k)` lists them. No edge is
+    built. An empty table, any other key and a profile with edges but no
+    color raise ValueError.
 
     A profile b weighs prod_i C(sizes[i], b_i), its number of vertex sets,
     and a class without edges (weight 0) is skipped. Each color's classes
@@ -560,13 +561,18 @@ def quotient_max_shadow_by_ts(
     `search.exact_M` merges its components, and a component's s-shadow is
     the weight of its s-profile bits.
     """
-    profiles, levels, table = classes
-    k = len(levels) - 1
+    p, k = len(sizes), len(next(iter(table), ()))
+    profiles, levels, classes = _profile_classes(p, k)
+    stray = table.keys() - {cls for cls, _ in classes}
+    if stray or not 2 <= k <= sum(sizes):
+        raise ValueError(f"need keys ascending k-tuples of labels in range({p}), 2 <= k <= n = {sum(sizes)}; got k = {k}, stray keys {sorted(stray)}")
     weight = {1 << i: math.prod(math.comb(sizes[x], prof.count(x)) for x in set(prof)) for i, prof in enumerate(profiles)}
     groups: dict[int, list[int]] = {}
-    for cls, mask in table:
+    for cls, mask in classes:
         if weight[1 << (mask.bit_length() - 1)]:  # the class has edges
-            groups.setdefault(colors[cls], []).append(mask)
+            if cls not in table:
+                raise ValueError(f"profile {cls} has edges but no color")
+            groups.setdefault(table[cls], []).append(mask)
     out = {(t, s): 0 for t in range(1, k) for s in range(1, k + 1)}
     for comps in groups.values():
         for t in range(k - 1, 0, -1):
@@ -574,18 +580,12 @@ def quotient_max_shadow_by_ts(
             merged: list[int] = []
             for mask in comps:
                 meets = mask & near
-                kept = []
-                for comp in merged:
-                    if comp & meets:
-                        mask |= comp
-                    else:
-                        kept.append(comp)
-                kept.append(mask)
-                merged = kept
+                for comp in [comp for comp in merged if comp & meets]:
+                    merged.remove(comp)
+                    mask |= comp
+                merged.append(mask)
             comps = merged
             for comp in comps:
                 for s in range(1, k + 1):
-                    cnt = sum(map(weight.__getitem__, _sub_masks(comp & levels[s], 1)))
-                    if cnt > out[t, s]:
-                        out[t, s] = cnt
+                    out[t, s] = max(out[t, s], sum(map(weight.__getitem__, _sub_masks(comp & levels[s], 1))))
     return out

@@ -10,12 +10,11 @@ import math
 import random
 
 from . import bounds
-from .constructions import blow_up_table, padded_index_set
+from .constructions import blow_up_rule, padded_index_set
 from .core import (
     Coloring,
     Hypergraph,
     _component_indices,  # unused; perfbench/test_perfbench.py reads properties._component_indices
-    _profile_classes,
     _shadow_members,
     _sub_masks,
     colex_edges,
@@ -212,8 +211,8 @@ def verify_blowup(trials: int = 200, seed: int = 0) -> dict:
         sum_l ceil(n/(n0-k+1))^s * C(s-1, l-1) * M(n0, r, k, t, l; c0).
         The base side is one `_max_shadow_by_ts` pass over the base's
         edges; the blown-up side is `quotient_max_shadow_by_ts` of the
-        blow-up's rule (`blow_up_table`, round-robin part sizes), on the
-        C(N+k-1, k) profile classes of its N = n0-k+1 parts, not its edges.
+        blow-up's rule (`blow_up_rule`), on the C(N+k-1, k) profile classes
+        of its N = n0-k+1 parts, not its edges.
     """
     n0, k = 6, 3
     sizes = (15, 21)
@@ -223,17 +222,14 @@ def verify_blowup(trials: int = 200, seed: int = 0) -> dict:
         checked, found = _padded_intersection_violations(n, n0, k)
         pairs_checked += checked
         violations += found
-    num_parts = n0 - k + 1
-    classes = _profile_classes(num_parts, k)
-    part_sizes = {n: [len(range(i, n, num_parts)) for i in range(num_parts)] for n in sizes}
     rng = random.Random(seed)
     combos = [(r, n) for r in (2, 3) for n in sizes]
     for trial in range(trials):
         r, n = combos[trial % len(combos)]
         c0 = random_coloring(n0, r, k, seed=rng.randrange(2**63))
         base = _max_shadow_by_ts(c0)
-        blown = quotient_max_shadow_by_ts(part_sizes[n], blow_up_table(c0), classes)
-        ceil_m = -(-n // num_parts)
+        blown = quotient_max_shadow_by_ts(*blow_up_rule(c0, n))
+        ceil_m = -(-n // (n0 - k + 1))
         for t, s in [(1, 2), (1, 3), (2, 3)]:
             lhs = blown[(t, s)]
             rhs = sum(

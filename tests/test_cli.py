@@ -684,8 +684,8 @@ def test_broken_bound_is_reported_and_exits_1(monkeypatch, capsys, suite):
 def test_inflated_blow_up_values_are_reported_and_exit_1(monkeypatch, capsys):
     # the blown-up side of the recursive bound, read from the quotient kernel,
     # past any base side: the bound is checked on that side too
-    def inflated(sizes, colors, classes):
-        return {ts: value + math.comb(sum(sizes), 3) ** 2 for ts, value in _QUOTIENT(sizes, colors, classes).items()}
+    def inflated(sizes, colors):
+        return {ts: value + math.comb(sum(sizes), 3) ** 2 for ts, value in _QUOTIENT(sizes, colors).items()}
 
     monkeypatch.setattr(properties, "quotient_max_shadow_by_ts", inflated)
     code, rep = run(capsys, "verify", "blowup", "--trials", "2")

@@ -1,7 +1,7 @@
 import math
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -11,7 +11,7 @@ from monotight.constructions import (
     _partition_coloring,
     all_red,
     blow_up,
-    blow_up_table,
+    blow_up_rule,
     majority_coloring,
     padded_index_set,
     parity_coloring,
@@ -20,7 +20,6 @@ from monotight.constructions import (
     two_part_rule,
 )
 from monotight.core import (
-    _profile_classes,
     colex_edges,
     colex_rank,
     mask_to_vertices,
@@ -214,8 +213,8 @@ def test_blow_up_frees_its_base_table_before_the_kernel():
 def test_partition_coloring_matches_its_rule(k):
     # p shuffled (not interval) parts plus one label no vertex takes, and a
     # random counts -> color table drawn per edge, then handed to the kernel
-    # keyed by each profile's k part labels in a shuffled order; labels from
-    # 299 up do not fit a byte
+    # keyed by each profile's k part labels ascending; labels from 299 up do
+    # not fit a byte
     rng = random.Random(k)
     for p in (1, 2, 3, 4):
         for r in (3, 300):
@@ -239,7 +238,6 @@ def test_partition_coloring_matches_its_rule(k):
                     profiles = {}
                     for counts, color in table.items():
                         profile = [label for label, a in zip(labels, counts) for _ in range(a)]
-                        rng.shuffle(profile)
                         profiles[tuple(profile)] = color
                     c = _partition_coloring(k, r, part, profiles)
                     assert (c.n, c.k, c.r) == (n, k, r)
@@ -248,9 +246,8 @@ def test_partition_coloring_matches_its_rule(k):
 
 @pytest.mark.parametrize("r", [2, 300])
 def test_partition_coloring_refuses_a_profile_missing_from_its_table(r):
-    # parts {1, 2, 3} and {4, 5, 6}: profile (0, 0, 1) occurs but has no
-    # color; the others are keyed in mixed orders
-    table = {(1, 1, 1): 1, (1, 0, 1): 1, (0, 0, 0): 1}
+    # parts {1, 2, 3} and {4, 5, 6}: profile (0, 0, 1) occurs but has no color
+    table = {(1, 1, 1): 1, (0, 1, 1): 1, (0, 0, 0): 1}
     with pytest.raises(ValueError, match=rf"^colors must lie in \[1, {r}\]$"):
         _partition_coloring(3, r, [0, 0, 0, 1, 1, 1], table)
 
@@ -290,38 +287,75 @@ def test_quotient_matches_the_expanded_blow_up(n0, k):
     # every (t, s) of seeded blow-ups up to n = 30, parts of size below k
     # (classes without edges) included at n just above n0
     rng = random.Random(100 * n0 + k)
-    num_parts = n0 - k + 1
-    classes = _profile_classes(num_parts, k)
     for trial in range(12):
         r = 2 + trial % 2
         n = n0 + 1 if trial < 2 else rng.randint(n0 + 1, 30)
         c0 = random_coloring(n0, r, k, seed=rng.randrange(2**32))
-        sizes = [len(range(i, n, num_parts)) for i in range(num_parts)]
-        got = quotient_max_shadow_by_ts(sizes, blow_up_table(c0), classes)
+        got = quotient_max_shadow_by_ts(*blow_up_rule(c0, n))
         assert got == properties._max_shadow_by_ts(blow_up(c0, n)), (n0, k, r, n)
 
 
 @pytest.mark.parametrize("name", sorted(TWO_PART_RULES))
 def test_quotient_matches_the_expanded_two_part_rules(name):
     build, _ = TWO_PART[name]
-    classes = _profile_classes(2, 3)
     for n in range(3, 31):
-        sizes, table = two_part_rule(name, n)
-        assert quotient_max_shadow_by_ts(sizes, table, classes) == properties._max_shadow_by_ts(build(n)), n
+        assert quotient_max_shadow_by_ts(*two_part_rule(name, n)) == properties._max_shadow_by_ts(build(n)), n
 
 
 @pytest.mark.parametrize("n", [10**4, 10**6])
 def test_quotient_closed_forms_at_large_n(n):
     # the closed forms measure-large pins at n = 120, at sizes whose colorings could not be built
-    classes = _profile_classes(2, 3)
     (a, b), table = two_part_rule("two_clique", n)
-    value = quotient_max_shadow_by_ts((a, b), table, classes)[1, 3]
+    value = quotient_max_shadow_by_ts((a, b), table)[1, 3]
     assert value == math.comb(n, 3) - math.comb(a, 3) - math.comb(b, 3)
-    sizes, table = two_part_rule("majority", n)
-    assert quotient_max_shadow_by_ts(sizes, table, classes)[2, 2] == math.comb(n, 2) - math.comb(n // 2, 2)
-    sizes, table = two_part_rule("parity", n)
-    ratio = quotient_max_shadow_by_ts(sizes, table, classes)[2, 3] / math.comb(n, 3)
+    assert quotient_max_shadow_by_ts(*two_part_rule("majority", n))[2, 2] == math.comb(n, 2) - math.comb(n // 2, 2)
+    ratio = quotient_max_shadow_by_ts(*two_part_rule("parity", n))[2, 3] / math.comb(n, 3)
     assert abs(ratio - 3 / 8) < (1e-6 if n == 10**6 else 1e-4)  # lambda_target_2323
+
+
+def test_quotient_matches_the_expanded_contiguous_rules():
+    # random rules on parts of 0..4 consecutive vertices, empty parts and a
+    # trailing empty part included: the expansion skips labels past max(part)
+    rng = random.Random(5)
+    checked = 0
+    for k in (2, 3, 4):
+        for p in (1, 2, 3, 4):
+            for trial in range(40):
+                sizes = [rng.randint(0, 4) for _ in range(p)]
+                if trial % 4 == 0:
+                    sizes[-1] = 0
+                if sum(sizes) < k:
+                    continue
+                r = rng.randint(1, 3)
+                table = {labels: rng.randint(1, r) for labels in combinations_with_replacement(range(p), k)}
+                part = [label for label, size in enumerate(sizes) for _ in range(size)]
+                want = properties._max_shadow_by_ts(_partition_coloring(k, r, part, table))
+                assert quotient_max_shadow_by_ts(sizes, table) == want, (k, sizes, r, table)
+                checked += 1
+    assert checked > 300
+
+
+# on parts {1, 2, 3} and {4, 5, 6}: (0, 0, 1) occurs but has no color, and
+# (1, 0, 0) and (1, 1, 0) are not ascending
+MISSING = {(0, 0, 0): 1, (0, 1, 1): 2, (1, 1, 1): 1}
+UNSORTED = {(0, 0, 0): 1, (1, 0, 0): 2, (1, 1, 0): 2, (1, 1, 1): 1}
+REFUSED_RULES = {
+    "missing profile": (lambda: quotient_max_shadow_by_ts((3, 3), MISSING), r"profile \(0, 0, 1\) has edges"),
+    "non-ascending key": (lambda: quotient_max_shadow_by_ts((3, 3), UNSORTED), r"stray keys \[\(1, 0, 0\), \(1, 1, 0\)\]"),
+    "non-ascending key, expanded": (lambda: _partition_coloring(3, 2, [0, 0, 0, 1, 1, 1], UNSORTED), "ascending 3-tuples"),
+    "key past the parts": (lambda: quotient_max_shadow_by_ts((3, 3), {**MISSING, (0, 0, 2): 1}), r"\(0, 0, 2\)"),
+    "empty table": (lambda: quotient_max_shadow_by_ts((3, 3), {}), "got k = 0"),
+    "fewer vertices than k": (lambda: quotient_max_shadow_by_ts((1, 1), MISSING), r"2 <= k <= n = 2; got k = 3"),
+    "empty table, expanded": (lambda: _partition_coloring(3, 2, [0, 0, 0, 1, 1, 1], {}), "colors must lie"),
+    "blow-up rule at n0": (lambda: blow_up_rule(random_coloring(6, 2, 3, seed=0), 6), r"needs n > n0 = 6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_RULES))
+def test_a_rule_off_the_table_contract_is_refused(name):
+    call, message = REFUSED_RULES[name]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_blow_up_argument_errors():
