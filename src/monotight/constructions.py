@@ -31,8 +31,9 @@ def _partition_coloring(
 ) -> Coloring:
     """The r-coloring of K^k_n, n = len(part), that gives each edge the color
     colors[labels], labels its k vertices' parts ascending; part[v-1] is
-    vertex v's part, in range(p) with p = max(part) + 1. Other keys raise
-    ValueError; one naming a part from p up, which has no vertex, is skipped.
+    vertex v's part, in range(p) with p = max(part) + 1; a negative label
+    raises ValueError. Other keys raise ValueError; one naming a part from p
+    up, which has no vertex, is skipped.
 
     As in `core.color_runs`, for each (k-1)-set top the edges top | x with
     x < min(top) are consecutive in colex order, x ascending, and their
@@ -45,6 +46,8 @@ def _partition_coloring(
     reads gets 0, and so does a missing profile, which `Coloring` refuses.
     """
     n, p = len(part), max(part) + 1
+    if min(part) < 0:
+        raise ValueError(f"part labels are >= 0, got {min(part)}")
     if any(len(labels) != k or labels[0] < 0 or list(labels) != sorted(labels) for labels in colors):
         raise ValueError(f"a rule's table is keyed by ascending {k}-tuples of labels >= 0")
     weight = [(k + 1) ** i for i in range(p)]

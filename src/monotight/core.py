@@ -28,18 +28,19 @@ bits peeled before it). `_run_keys` walks these pairs for both run kernels.
 
 A partition rule (sizes, table) has parts of sizes[i] vertices and colors
 an edge by its profile, its vertices' part labels ascending. It is measured
-without its edges, on its profile classes (`quotient_max_shadow_by_ts`).
-A class with edges is (k-1)-tight connected, two classes touch at t exactly
-when they share a t-subprofile, and an s-subprofile b stands for the
-prod_i C(|P_i|, b_i) s-sets with that profile. So a class is one mask over
-the profiles below it (`_profile_classes`), components merge masks on
-shared t-subprofile bits, and a component's s-shadow is a sum of
-per-profile weights, at a cost that does not grow with n.
+without its edges (`quotient_max_shadow_by_ts`), on the same run kernels.
+Write a profile as a set of copy vertices, the j-th copy of label x being
+bit x*k + j. Two classes a and b then share sum_i min(a_i, b_i) copies,
+the most vertices an edge of a and an edge of b share, and a class with
+edges is (k-1)-tight connected. So each color's classes with edges are a
+k-graph on p*k copy vertices whose t-tight components are the rule's. A
+class's s-subsets that are profiles are its s-subprofiles; subprofile b
+stands for the prod_i C(|P_i|, b_i) s-sets with that profile, and a subset
+that is no profile stands for none. The cost depends on p and k, not n.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import sys
@@ -524,68 +525,60 @@ def measure(c: Coloring, t: int, s: int) -> MeasureResult:
     return MeasureResult(best, col, tuple(col_runs[i] for i in comp))
 
 
-@functools.cache
-def _profile_classes(p: int, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]]:
-    """The tables `quotient_max_shadow_by_ts` reads for p-part rules on k-sets.
-
-    Every profile of j = 1..k labels, as an ascending label tuple, gets one
-    bit, level by level and in `combinations_with_replacement` order within a
-    level. Returns those profiles, bit i standing for profiles[i]; levels[j],
-    the mask of the j-profiles' bits (levels[0] = 0); and each of the
-    C(p+k-1, k) classes, the k-profiles, with its mask: the bits of its
-    j-subprofiles for every j <= k, its own bit the highest.
-    """
-    profiles: list[tuple[int, ...]] = []
-    levels, level = [0], []  # no classes at k = 0
-    for j in range(1, k + 1):
-        level = list(combinations_with_replacement(range(p), j))
-        levels.append(((1 << len(level)) - 1) << len(profiles))
-        profiles += level
-    bit = {prof: 1 << i for i, prof in enumerate(profiles)}
-    classes = tuple((cls, sum(bit[sub] for j in range(1, k + 1) for sub in set(combinations(cls, j)))) for cls in level)
-    return tuple(profiles), tuple(levels), classes
-
-
 def quotient_max_shadow_by_ts(sizes: Sequence[int], table: dict[tuple[int, ...], int]) -> dict[tuple[int, int], int]:
     """measure(c, t, s).value for every valid (t, s), c being the partition
     rule (sizes, table) on p = len(sizes) parts: an edge gets table[labels],
     labels its vertices' part labels ascending, a k-tuple as
     `combinations_with_replacement(range(p), k)` lists them. No edge is
-    built. An empty table, any other key and a profile with edges but no
-    color raise ValueError.
+    built. An empty table, any other key, a negative part size and a profile
+    with edges but no color raise ValueError.
 
-    A profile b weighs prod_i C(sizes[i], b_i), its number of vertex sets,
-    and a class without edges (weight 0) is skipped. Each color's classes
-    start as one component each, being (k-1)-tight connected; for t = k-1
-    down to 1 the components whose masks share a t-profile bit merge, as
-    `search.exact_M` merges its components, and a component's s-shadow is
-    the weight of its s-profile bits.
+    A profile is a set of copy vertices (see the module docstring), and
+    `weight` maps each profile with vertex sets to prod_i C(sizes[i], b_i),
+    their number; a class without edges is not in it. Per color, the classes
+    with edges are the edges of a k-graph on p*k copy vertices, whose t-tight
+    components (`_component_indices`) are the rule's. A component's s-shadow
+    is the weight of its s-subsets (`_shadow_members`), a subset that is no
+    profile weighing 0. A component that stays whole as t falls keeps its
+    counts.
     """
     p, k = len(sizes), len(next(iter(table), ()))
-    profiles, levels, classes = _profile_classes(p, k)
-    stray = table.keys() - {cls for cls, _ in classes}
+    stray = table.keys() - set(combinations_with_replacement(range(p), k))
     if stray or not 2 <= k <= sum(sizes):
         raise ValueError(f"need keys ascending k-tuples of labels in range({p}), 2 <= k <= n = {sum(sizes)}; got k = {k}, stray keys {sorted(stray)}")
-    weight = {1 << i: math.prod(math.comb(sizes[x], prof.count(x)) for x in set(prof)) for i, prof in enumerate(profiles)}
+    if min(sizes) < 0:
+        raise ValueError(f"part sizes are >= 0, got {min(sizes)}")
+    # by_size[j]: (mask, weight, labels) of each j-copy profile with vertex sets
+    by_size: list[list[tuple[int, int, tuple[int, ...]]]] = [[(0, 1, ())]] + [[] for _ in range(k)]
+    for x, size in enumerate(sizes):
+        for j in range(k - 1, -1, -1):  # an extended profile lands above j
+            for prof, w, labels in by_size[j]:
+                for i in range(1, min(k - j, size) + 1):
+                    by_size[j + i].append((prof | ((1 << i) - 1) << x * k, w * math.comb(size, i), labels + (x,) * i))
+    weight = {prof: w for level in by_size for prof, w, _ in level}
+    missing = [labels for _, _, labels in by_size[k] if labels not in table]  # by_size[k]: the classes with edges
+    if missing:
+        raise ValueError(f"profile {min(missing)} has edges but no color")
     groups: dict[int, list[int]] = {}
-    for cls, mask in classes:
-        if weight[1 << (mask.bit_length() - 1)]:  # the class has edges
-            if cls not in table:
-                raise ValueError(f"profile {cls} has edges but no color")
-            groups.setdefault(table[cls], []).append(mask)
+    for mask, _, labels in by_size[k]:
+        groups.setdefault(table[labels], []).append(mask)
     out = {(t, s): 0 for t in range(1, k) for s in range(1, k + 1)}
-    for comps in groups.values():
+    for masks in groups.values():
+        runs = edge_runs(masks)
+        # (first run, size) -> counts: a component at a smaller t holds the
+        # one with its first run, so equal sizes mean the same component
+        kept: dict[tuple[int, int], list[int]] = {}
         for t in range(k - 1, 0, -1):
-            near = levels[t]
-            merged: list[int] = []
-            for mask in comps:
-                meets = mask & near
-                for comp in [comp for comp in merged if comp & meets]:
-                    merged.remove(comp)
-                    mask |= comp
-                merged.append(mask)
-            comps = merged
-            for comp in comps:
-                for s in range(1, k + 1):
-                    out[t, s] = max(out[t, s], sum(map(weight.__getitem__, _sub_masks(comp & levels[s], 1))))
+            for comp, t_runs in zip(*_component_indices(runs, t)):
+                counts = kept.get((comp[0], len(comp)))
+                if counts is None:
+                    own = [runs[i] for i in comp]
+                    counts = kept[comp[0], len(comp)] = []
+                    for s in range(1, k + 1):  # as in `component_shadows`
+                        use, j = (t_runs, t) if s <= t else (own, k)  # runs of j-sets
+                        pairs = use if s == j else _shadow_members(use, s).items()
+                        counts.append(sum(weight.get(key | y, 0) for key, bits in pairs for y in _sub_masks(bits, 1)))
+                for s, cnt in enumerate(counts, 1):
+                    if cnt > out[t, s]:
+                        out[t, s] = cnt
     return out

@@ -212,7 +212,7 @@ def verify_blowup(trials: int = 200, seed: int = 0) -> dict:
         The base side is one `_max_shadow_by_ts` pass over the base's
         edges; the blown-up side is `quotient_max_shadow_by_ts` of the
         blow-up's rule (`blow_up_rule`), on the C(N+k-1, k) profile classes
-        of its N = n0-k+1 parts, not its edges.
+        of its N = n0-k+1 parts, not its edges; ceil(n/N) is its largest part.
     """
     n0, k = 6, 3
     sizes = (15, 21)
@@ -228,8 +228,9 @@ def verify_blowup(trials: int = 200, seed: int = 0) -> dict:
         r, n = combos[trial % len(combos)]
         c0 = random_coloring(n0, r, k, seed=rng.randrange(2**63))
         base = _max_shadow_by_ts(c0)
-        blown = quotient_max_shadow_by_ts(*blow_up_rule(c0, n))
-        ceil_m = -(-n // (n0 - k + 1))
+        parts, table = blow_up_rule(c0, n)
+        blown = quotient_max_shadow_by_ts(parts, table)
+        ceil_m = max(parts)
         for t, s in [(1, 2), (1, 3), (2, 3)]:
             lhs = blown[(t, s)]
             rhs = sum(

@@ -252,6 +252,15 @@ def test_partition_coloring_refuses_a_profile_missing_from_its_table(r):
         _partition_coloring(3, r, [0, 0, 0, 1, 1, 1], table)
 
 
+@pytest.mark.parametrize("r", [2, 300])
+def test_partition_coloring_refuses_a_negative_part_label(r):
+    # r = 300 takes the list path, which indexes its tables by label, so an
+    # unchecked -1 would read the last part's entries
+    table = {labels: 1 for labels in combinations_with_replacement(range(2), 3)}
+    with pytest.raises(ValueError, match=r"^part labels are >= 0, got -1$"):
+        _partition_coloring(3, r, [0, 0, 0, 1, 1, -1], table)
+
+
 def test_verify_blowup_reports_a_broken_padded_map(monkeypatch):
     # every edge through vertex 1 goes to base edge {1, 2, 3}: then {1, 2, 6}
     # and {2, 6, 10} share 2 vertices but their padded sets share only 1
@@ -335,6 +344,36 @@ def test_quotient_matches_the_expanded_contiguous_rules():
     assert checked > 300
 
 
+def _singleton_rule(c):
+    # the coloring as a rule with one part per vertex: vertex v has label v - 1
+    labels = (tuple(v - 1 for v in mask_to_vertices(e)) for e in colex_edges(c.n, c.k))
+    return (1,) * c.n, dict(zip(labels, c.colors))
+
+
+def test_quotient_of_singleton_parts_is_the_coloring_itself():
+    # with one vertex per part, the copy-vertex k-graph of each color is that
+    # color's own edges, every copy past the first having no vertex set
+    rng = random.Random(8)
+    for k in (2, 3, 4):
+        for trial in range(15):
+            n, r = rng.randint(k, 8), rng.randint(1, 3)
+            c = random_coloring(n, r, k, seed=rng.randrange(2**32))
+            assert quotient_max_shadow_by_ts(*_singleton_rule(c)) == properties._max_shadow_by_ts(c), (n, r, k)
+
+
+def test_quotient_of_thirty_parts_runs_in_bounded_memory():
+    # 4,960 classes on 90 copy vertices: the run kernels' tables peak near
+    # 1 MB, where one mask per class over every subprofile needs about 6 MB
+    sizes, table = _singleton_rule(random_coloring(30, 2, 3, seed=1))
+    tracemalloc.start()
+    try:
+        quotient_max_shadow_by_ts(sizes, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, peak
+
+
 # on parts {1, 2, 3} and {4, 5, 6}: (0, 0, 1) occurs but has no color, and
 # (1, 0, 0) and (1, 1, 0) are not ascending
 MISSING = {(0, 0, 0): 1, (0, 1, 1): 2, (1, 1, 1): 1}
@@ -346,6 +385,7 @@ REFUSED_RULES = {
     "key past the parts": (lambda: quotient_max_shadow_by_ts((3, 3), {**MISSING, (0, 0, 2): 1}), r"\(0, 0, 2\)"),
     "empty table": (lambda: quotient_max_shadow_by_ts((3, 3), {}), "got k = 0"),
     "fewer vertices than k": (lambda: quotient_max_shadow_by_ts((1, 1), MISSING), r"2 <= k <= n = 2; got k = 3"),
+    "negative part size": (lambda: quotient_max_shadow_by_ts((4, -1, 3), MISSING), r"^part sizes are >= 0, got -1$"),
     "empty table, expanded": (lambda: _partition_coloring(3, 2, [0, 0, 0, 1, 1, 1], {}), "colors must lie"),
     "blow-up rule at n0": (lambda: blow_up_rule(random_coloring(6, 2, 3, seed=0), 6), r"needs n > n0 = 6"),
 }
