@@ -6,6 +6,9 @@ index range) or an unusable file path, 3 internal error (a bug). Exits 2
 and 3 print one "error: ..." line on stderr (3: "error: internal: ...")
 and nothing on stdout. Each `construct` name and `verify` suite is a
 sub-parser with only the flags it reads, so argparse refuses any other.
+Only `verify` imports the suites (`properties`), and only `design` and
+`construct steiner` import `designs`, so no other command compiles or runs
+them at start.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import functools
 import json
 import sys
 
-from . import bounds, constructions, designs, fileio, properties, search
+from . import bounds, constructions, fileio, search
 from .core import Hypergraph, mask_to_vertices, measure, shadow, t_tight_components
 
 
@@ -89,6 +92,8 @@ def _cmd_construct(args) -> dict:
 
 
 def _steiner(args):
+    from . import designs
+
     system = _resolve_design(args.design)
     if system.class_of is None:
         classes, _ = designs.partition_blocks(system, args.t, order=args.order or "given")
@@ -100,6 +105,8 @@ def _steiner(args):
 
 
 def _resolve_design(spec: str):
+    from . import designs
+
     if spec in ("fano", "s348", "ag23"):
         return designs.builtin_design(spec)
     if spec.startswith("ap") and spec[2:].isdecimal():
@@ -109,6 +116,8 @@ def _resolve_design(spec: str):
 
 
 def _cmd_design(args) -> dict:
+    from . import designs
+
     if args.partition_t is None and args.order is not None:
         raise ValueError("design without --partition-t takes no --order")
     system = _resolve_design(args.name)
@@ -165,6 +174,8 @@ def _cmd_search(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
+    from . import properties
+
     if args.suite == "r2a":
         case = (args.n, args.k, args.t, args.s)
         if case == (None,) * 4:

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, combinations_with_replacement
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import Coloring, _colex_sums, _kset_count, _sub_masks, _subset_ranks, colex_edges, mask_to_vertices, vertices_to_mask
-from .designs import SteinerSystem
+
+if TYPE_CHECKING:
+    from .designs import SteinerSystem
 
 
 def all_red(n: int, k: int, r: int) -> Coloring:

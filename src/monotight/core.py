@@ -45,7 +45,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 
@@ -543,7 +543,11 @@ def quotient_max_shadow_by_ts(sizes: Sequence[int], table: dict[tuple[int, ...],
     counts.
     """
     p, k = len(sizes), len(next(iter(table), ()))
-    stray = table.keys() - set(combinations_with_replacement(range(p), k))
+    part_ids = range(p)  # each key checked on its own: an ascending k-tuple of part ids
+    stray = [
+        key for key in table
+        if not (isinstance(key, tuple) and len(key) == k and all(x in part_ids for x in key) and all(map(operator.le, key, key[1:])))
+    ]
     if stray or not 2 <= k <= sum(sizes):
         raise ValueError(f"need keys ascending k-tuples of labels in range({p}), 2 <= k <= n = {sum(sizes)}; got k = {k}, stray keys {sorted(stray)}")
     if min(sizes) < 0:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import io
 from collections import defaultdict
-from typing import Callable, Iterable, TextIO, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, TextIO, TypeVar
 
 from .core import (
     Coloring,
@@ -38,7 +38,9 @@ from .core import (
     mask_to_vertices,
     vertices_to_mask,
 )
-from .designs import SteinerSystem
+
+if TYPE_CHECKING:
+    from .designs import SteinerSystem
 
 
 class FormatError(ValueError):
@@ -218,4 +220,6 @@ def write_design(d: SteinerSystem, fh: TextIO) -> None:
 
 
 def read_design(fh: TextIO) -> SteinerSystem:
+    from .designs import SteinerSystem
+
     return _read_sets(fh, "design", "n h k", SteinerSystem)

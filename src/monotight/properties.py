@@ -6,6 +6,7 @@ count; the CLI `verify` subcommand and the acceptance tests both run these.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -29,10 +30,10 @@ from .search import random_coloring, verify_r2a
 SLACK = 1e-9
 
 
-def random_hypergraph(n: int, k: int, rng: random.Random) -> Hypergraph:
-    """Non-empty k-graph on {1..n}: each edge kept with one shared random
-    probability (re-drawn until at least one edge survives)."""
-    all_edges = colex_edges(n, k)
+def random_hypergraph(n: int, k: int, rng: random.Random, all_edges: list[int]) -> Hypergraph:
+    """Non-empty k-graph on {1..n}: each edge of all_edges, the list
+    `colex_edges(n, k)`, kept with one shared random probability (re-drawn
+    until at least one edge survives)."""
     while True:
         p = rng.random()
         edges = [e for e in all_edges if rng.random() < p]
@@ -120,11 +121,12 @@ def verify_kk(trials: int = 500, seed: int = 0) -> dict:
     """Random k-graphs: the s-shadow count dominates the Kruskal-Katona
     bound binom(x, s) with binom(x, k) = |G|."""
     rng = random.Random(seed)
+    edges_of = functools.cache(colex_edges)  # one edge list per shape, for this call only
     violations = []
     for trial in range(trials):
         k = 3 if trial % 2 == 0 else 4
         n = rng.randint(k + 1, 10)
-        g = random_hypergraph(n, k, rng)
+        g = random_hypergraph(n, k, rng, edges_of(n, k))
         # kk_shadow_bound(m, k, s) is binom_real(kk_root(m, k), s): one root per trial
         x = bounds.kk_root(len(g.edges), k)
         runs = edge_runs(g.edges)
@@ -147,11 +149,12 @@ def verify_density(trials: int = 300, seed: int = 0) -> dict:
     from k-1 and stops computing once the graph is one component;
     violations are still reported in ascending t."""
     rng = random.Random(seed)
+    edges_of = functools.cache(colex_edges)  # one edge list per shape, for this call only
     violations = []
     for trial in range(trials):
         k = 3 if trial % 2 == 0 else 4
         n = rng.randint(k + 1, 10)
-        g = random_hypergraph(n, k, rng)
+        g = random_hypergraph(n, k, rng, edges_of(n, k))
         delta = len(g.edges) / math.comb(n, k)
         ss = range(1, k + 1)
         by_t = _counts_by_t(edge_runs(g.edges), k)

@@ -126,7 +126,7 @@ def test_kk_shadow_bound_dominated_by_real_shadows():
     rng = random.Random(5)
     for _ in range(100):
         n = rng.randint(4, 10)
-        g = random_hypergraph(n, 3, rng)
+        g = random_hypergraph(n, 3, rng, colex_edges(n, 3))
         for s in (1, 2, 3):
             actual = len(shadow(g, s))
             assert actual >= bounds.kk_shadow_bound(len(g.edges), 3, s) - 1e-9

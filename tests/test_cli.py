@@ -299,6 +299,52 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(done.stdout)["subcommand"] == "constants"
 
 
+# Runs each argv (JSON) through cli.main in a fresh interpreter and prints,
+# after the import and after each run, which deferred modules are loaded.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from monotight import cli
+
+def deferred():
+    return [m for m in ("monotight.properties", "monotight.designs") if m in sys.modules]
+
+report = {"import": deferred(), "runs": []}
+for argv in map(json.loads, sys.argv[1:]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    report["runs"].append([code, deferred()])
+print(json.dumps(report))
+"""
+
+_MAJ = ["construct", "majority", "--n", "6", "--out", "maj6.col"]
+_MEASURE = ["measure", "--coloring", "maj6.col", "--t", "2", "--s", "2"]
+_SEARCH = ["search", "--n", "5", "--r", "2", "--k", "3", "--t", "1", "--s", "2", "--budget", "10"]
+
+
+@pytest.mark.parametrize(
+    "argvs, loaded",
+    [
+        ([], []),
+        ([_MAJ, _MEASURE, _SEARCH], []),
+        ([["verify", "kk", "--trials", "2"]], ["monotight.properties"]),
+        ([["design", "fano"]], ["monotight.designs"]),
+        ([["construct", "steiner", "--design", "fano", "--out", "fano.col"]], ["monotight.designs"]),
+    ],
+    ids=["import", "measure-search", "verify", "design", "steiner"],
+)
+def test_a_command_imports_the_suites_and_designs_only_if_it_runs_them(tmp_path, argvs, loaded):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *map(json.dumps, argvs)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["import"] == []
+    assert report["runs"] == [[0, loaded]] * len(argvs)
+
+
 def test_uncaught_exception_exits_3_with_one_stderr_line(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("broken search")

@@ -374,6 +374,21 @@ def test_quotient_of_thirty_parts_runs_in_bounded_memory():
     assert peak < 3 * 2**20, peak
 
 
+def test_quotient_checks_keys_without_listing_every_class():
+    # 150 empty parts add C(154, 3) classes of 152 labels, none of them in the
+    # table; listing them all to name stray keys peaks near 56 MB
+    table = {labels: 1 + i % 2 for i, labels in enumerate(combinations_with_replacement(range(3), 3))}
+    want = quotient_max_shadow_by_ts((2, 2, 2), table)
+    tracemalloc.start()
+    try:
+        got = quotient_max_shadow_by_ts((2, 2, 2) + (0,) * 150, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 2**20, peak
+
+
 # on parts {1, 2, 3} and {4, 5, 6}: (0, 0, 1) occurs but has no color, and
 # (1, 0, 0) and (1, 1, 0) are not ascending
 MISSING = {(0, 0, 0): 1, (0, 1, 1): 2, (1, 1, 1): 1}

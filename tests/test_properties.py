@@ -132,7 +132,7 @@ def density_reference(trials: int, seed: int) -> dict:
     for trial in range(trials):
         k = 3 if trial % 2 == 0 else 4
         n = rng.randint(k + 1, 10)
-        g = random_hypergraph(n, k, rng)
+        g = random_hypergraph(n, k, rng, colex_edges(n, k))
         delta = len(g.edges) / math.comb(n, k)
         ss = range(1, k + 1)
         for t in range(1, k):
@@ -141,6 +141,20 @@ def density_reference(trials: int, seed: int) -> dict:
             if not any(all(len(shadow(h, s)) >= lo for s, lo in zip(ss, need)) for h in comps):
                 violations.append({"n": n, "k": k, "t": t, "delta": delta})
     return {"suite": "density", "trials": trials, "seed": seed, "violations": violations}
+
+
+@pytest.mark.parametrize("suite", ["kk", "density"])
+def test_random_graph_suites_build_one_edge_list_per_shape(monkeypatch, suite):
+    # 13 shapes (n, k), k in {3, 4} and k < n <= 10, over hundreds of trials
+    calls = []
+
+    def counting(n, k):
+        calls.append((n, k))
+        return colex_edges(n, k)
+
+    monkeypatch.setattr(properties, "colex_edges", counting)
+    getattr(properties, f"verify_{suite}")(500, 3)
+    assert len(calls) == len(set(calls)) <= 13, sorted(calls)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1.25, 2.0])
