@@ -7,8 +7,9 @@ formats all refer to it. Colex order of k-subsets is increasing order of
 their bitmasks, so the k-sets topped by vertex v follow all those below it,
 and among themselves run in the colex order of their other k-1 vertices.
 `_colex_sums` is the one walk over j-subsets, a chunk per top, and
-`_sub_masks(mask, 1)` the one bit peel; only `_run_keys` inlines its own
-walks, for j <= 1, and `_subset_ranks` lists colex ranks, not masks.
+`_sub_masks(mask, 1)` the one bit peel; only the run walks of `_run_keys`
+and `_shadow_members` inline their own, for j <= 1, and `_subset_ranks`
+lists colex ranks, not masks.
 
 Components and shadows are computed on runs, not on single edges. For a
 (k-1)-set `top` with lowest vertex a >= 2, the edges top | x with x < a
@@ -24,7 +25,8 @@ lies in top. So the j-subsets of a run's edges are Q | y for each
 (Q, bits) pair per Q, whatever the number of edges in the run. For j = 1
 the one key is Q = 0, with bits low | top. For j = 2 each Q is one bit of
 top: peeling top's bits from low to high gives each Q with bits low | (the
-bits peeled before it). `_run_keys` walks these pairs for both run kernels.
+bits peeled before it). `_run_keys` walks these pairs for the component
+kernel, and the shadow kernel `_shadow_members` walks its runs itself.
 
 A partition rule (sizes, table) has parts of sizes[i] vertices and colors
 an edge by its profile, its vertices' part labels ascending. It is measured
@@ -286,7 +288,9 @@ def edge_runs(masks: Iterable[int]) -> list[tuple[int, int]]:
 def _run_keys(runs: Iterable[tuple[int, int]], j: int) -> Iterator[tuple[int, int, int]]:
     """(run index, Q, bits) for each run and each j-subset Q of its top: the
     module docstring's pairs for the (j+1)-subsets of the run's edges, Q
-    ascending for j = 1. Only j >= 2 lists a run's keys, with `_sub_masks`."""
+    ascending for j = 1. Only j >= 2 lists a run's keys, with `_sub_masks`.
+    `_component_indices` is its one caller; `_shadow_members` walks the same
+    pairs in its own loops, with no run index to carry."""
     if not j:
         for idx, (top, low) in enumerate(runs):
             yield idx, 0, low | top
@@ -397,13 +401,34 @@ def t_tight_components(h: Hypergraph, t: int) -> list[list[int]]:
     return comps
 
 
-def _shadow_members(runs: Iterable[tuple[int, int]], s: int) -> dict[int, int]:
+def _shadow_members(runs: Sequence[tuple[int, int]], s: int) -> dict[int, int]:
     """The s-shadow of the runs' edges as (Q, bits) pairs, the s-sets Q | y for
-    each bit y of bits (see the module docstring); no s-set occurs twice."""
+    each bit y of bits (see the module docstring); no s-set occurs twice.
+
+    The runs are walked here, not through `_run_keys`: s = 1 is one OR of
+    low | top over the runs, s = 2 peels each top's bits low to high, and
+    only s >= 3 lists a top's (s-1)-subsets. The keys come in `_run_keys`'
+    order."""
     shade: dict[int, int] = {}
+    if s == 1:
+        bits = 0
+        for top, low in runs:
+            bits |= low | top
+        if runs:
+            shade[0] = bits
+        return shade
     get = shade.get
-    for _, key, bits in _run_keys(runs, s - 1):
-        shade[key] = get(key, 0) | bits
+    if s == 2:
+        for top, low in runs:
+            while top:
+                key = top & -top
+                shade[key] = get(key, 0) | low
+                low |= key
+                top ^= key
+    else:
+        for top, low in runs:
+            for key in _sub_masks(top, s - 1):
+                shade[key] = get(key, 0) | low | (top & ((key & -key) - 1))
     return shade
 
 

@@ -14,7 +14,6 @@ from . import bounds
 from .constructions import blow_up_rule, padded_index_set
 from .core import (
     Coloring,
-    Hypergraph,
     _component_indices,  # unused; perfbench/test_perfbench.py reads properties._component_indices
     _shadow_members,
     _sub_masks,
@@ -30,15 +29,17 @@ from .search import random_coloring, verify_r2a
 SLACK = 1e-9
 
 
-def random_hypergraph(n: int, k: int, rng: random.Random, all_edges: list[int]) -> Hypergraph:
-    """Non-empty k-graph on {1..n}: each edge of all_edges, the list
-    `colex_edges(n, k)`, kept with one shared random probability (re-drawn
-    until at least one edge survives)."""
+def random_edges(rng: random.Random, all_edges: list[int]) -> list[int]:
+    """A non-empty random k-graph as its edge list, in colex order: each edge
+    of all_edges, the list `colex_edges(n, k)`, kept with one shared random
+    probability (re-drawn until at least one edge survives). The edges are a
+    subset of a valid list, so no `Hypergraph` is built to check them."""
+    rand = rng.random
     while True:
-        p = rng.random()
-        edges = [e for e in all_edges if rng.random() < p]
+        p = rand()
+        edges = [e for e in all_edges if rand() < p]
         if edges:
-            return Hypergraph(n, k, edges)
+            return edges
 
 
 def _counts_by_t(runs: list[tuple[int, int]], k: int) -> dict[int, list[tuple[int, ...]]]:
@@ -126,18 +127,19 @@ def verify_kk(trials: int = 500, seed: int = 0) -> dict:
     for trial in range(trials):
         k = 3 if trial % 2 == 0 else 4
         n = rng.randint(k + 1, 10)
-        g = random_hypergraph(n, k, rng, edges_of(n, k))
+        edges = random_edges(rng, edges_of(n, k))
+        m = len(edges)
         # kk_shadow_bound(m, k, s) is binom_real(kk_root(m, k), s): one root per trial
-        x = bounds.kk_root(len(g.edges), k)
-        runs = edge_runs(g.edges)
+        x = bounds.kk_root(m, k)
+        runs = edge_runs(edges)
         for s in range(1, k + 1):
             if s == k:  # the k-shadow of a k-graph is its edge set
-                actual = len(g.edges)
+                actual = m
             else:
                 actual = sum(bits.bit_count() for bits in _shadow_members(runs, s).values())
             bound = bounds.binom_real(x, s)
             if actual < bound - SLACK:
-                violations.append({"n": n, "k": k, "s": s, "edges": len(g.edges), "actual": actual, "bound": bound})
+                violations.append({"n": n, "k": k, "s": s, "edges": m, "actual": actual, "bound": bound})
     return {"suite": "kk", "trials": trials, "seed": seed, "violations": violations}
 
 
@@ -154,10 +156,10 @@ def verify_density(trials: int = 300, seed: int = 0) -> dict:
     for trial in range(trials):
         k = 3 if trial % 2 == 0 else 4
         n = rng.randint(k + 1, 10)
-        g = random_hypergraph(n, k, rng, edges_of(n, k))
-        delta = len(g.edges) / math.comb(n, k)
+        edges = random_edges(rng, edges_of(n, k))
+        delta = len(edges) / math.comb(n, k)
         ss = range(1, k + 1)
-        by_t = _counts_by_t(edge_runs(g.edges), k)
+        by_t = _counts_by_t(edge_runs(edges), k)
         for t in range(1, k):
             need = [bounds.density_component_bound(n, k, t, s, delta) - SLACK for s in ss]
             if not any(all(cnt >= lo for cnt, lo in zip(counts, need)) for counts in by_t[t]):

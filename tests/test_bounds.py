@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from monotight import bounds
-from monotight.core import colex_edges, shadow
-from monotight.properties import random_hypergraph
+from monotight.core import Hypergraph, colex_edges, shadow
+from monotight.properties import random_edges
 
 
 def test_binom_real_integer_cases():
@@ -126,7 +126,7 @@ def test_kk_shadow_bound_dominated_by_real_shadows():
     rng = random.Random(5)
     for _ in range(100):
         n = rng.randint(4, 10)
-        g = random_hypergraph(n, 3, rng, colex_edges(n, 3))
+        g = Hypergraph(n, 3, random_edges(rng, colex_edges(n, 3)))
         for s in (1, 2, 3):
             actual = len(shadow(g, s))
             assert actual >= bounds.kk_shadow_bound(len(g.edges), 3, s) - 1e-9

@@ -531,7 +531,69 @@ class TestCheckColors:
             assert min_max_rule(colors, r) == check_colors_passes(colors, r), (colors, r)
 
 
+def generator_shadow_members(runs, s):
+    """`_shadow_members` as a walk of (Q, bits) pairs from a generator, one
+    pair per run and (s-1)-subset Q of its top, in the kernel's key order:
+    the oracle for its own loops."""
+
+    def pairs():
+        j = s - 1
+        for top, low in runs:
+            if not j:
+                yield 0, low | top
+            elif j == 1:
+                while top:
+                    key = top & -top
+                    yield key, low
+                    low |= key
+                    top ^= key
+            else:
+                for key in _sub_masks(top, j):
+                    yield key, low | (top & ((key & -key) - 1))
+
+    shade = {}
+    for key, bits in pairs():
+        shade[key] = shade.get(key, 0) | bits
+    return shade
+
+
+def random_runs(rng, n, k):
+    """Runs (top, low) of k-sets of {1..n}: a (k-1)-set top with lowest vertex
+    a >= 2 and a nonempty low below a, some tops drawn twice."""
+    runs = []
+    for _ in range(rng.randint(1, 30)):
+        if runs and rng.random() < 0.2:
+            top = rng.choice(runs)[0]
+        else:
+            top = vertices_to_mask(rng.sample(range(2, n + 1), k - 1))
+        below = (top & -top) - 1
+        low = 0
+        while not low:
+            low = below & rng.getrandbits(below.bit_length())
+        runs.append((top, low))
+    return runs
+
+
 class TestShadow:
+    def test_kernel_keeps_the_generator_walks_items_and_order(self):
+        # seeded run lists with k <= 6 whose vertices pass 61, every s in
+        # 1..k, as ordered items: the key order is part of the answer
+        rng = random.Random(53)
+        for case in range(300):
+            k = rng.randint(2, 6)
+            n = rng.choice((k + 1, 9, 64, 80))
+            runs = random_runs(rng, n, k)
+            for s in range(1, k + 1):
+                got = _shadow_members(runs, s)
+                assert list(got.items()) == list(generator_shadow_members(runs, s).items()), (case, n, k, s)
+                assert sum(bits.bit_count() for bits in got.values()) == len(shadow_members(run_edges(runs), s, k))
+        for c in oracle_colorings():
+            for runs in color_runs(c).values():
+                for s in range(1, c.k + 1):
+                    assert list(_shadow_members(runs, s).items()) == list(generator_shadow_members(runs, s).items())
+        for s in (1, 2, 3):
+            assert _shadow_members([], s) == {}
+
     def test_single_edge(self):
         e = vertices_to_mask([1, 2, 3])
         sh = shadow(Hypergraph(3, 3, [e]), 2)

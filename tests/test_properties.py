@@ -3,6 +3,8 @@ references: `_counts_by_t`'s descent in t against one component pass per t,
 lowerbound's early stop against every color computed, and the grouped
 padded-intersection check against the pairwise loop."""
 
+import hashlib
+import json
 import math
 import random
 
@@ -27,7 +29,7 @@ from monotight.properties import (
     _counts_by_t,
     _max_shadow_by_ts,
     _padded_intersection_violations,
-    random_hypergraph,
+    random_edges,
     verify_density,
 )
 from monotight.search import random_coloring
@@ -132,7 +134,7 @@ def density_reference(trials: int, seed: int) -> dict:
     for trial in range(trials):
         k = 3 if trial % 2 == 0 else 4
         n = rng.randint(k + 1, 10)
-        g = random_hypergraph(n, k, rng, colex_edges(n, k))
+        g = Hypergraph(n, k, random_edges(rng, colex_edges(n, k)))
         delta = len(g.edges) / math.comb(n, k)
         ss = range(1, k + 1)
         for t in range(1, k):
@@ -155,6 +157,36 @@ def test_random_graph_suites_build_one_edge_list_per_shape(monkeypatch, suite):
     monkeypatch.setattr(properties, "colex_edges", counting)
     getattr(properties, f"verify_{suite}")(500, 3)
     assert len(calls) == len(set(calls)) <= 13, sorted(calls)
+
+
+# SHA-256 of json.dumps(report, sort_keys=True) for verify_<suite>(trials, 3),
+# recorded while kk and density still built a Hypergraph per trial
+REPORT_DIGESTS = {
+    ("kk", 500): "fdf4ff5a4cd290d9de08c1dadff78ebce5cf395c260ef0ad50eff60dae9577dd",
+    ("density", 300): "1c1c545a16552d87f83b42b3b16b203a6fd18fd4ce9867332a3d5485412c2048",
+    ("lowerbound", 200): "7845344e2b083116da6f49dd12c15222be9a8f071cbd733205b3c7f9aae7eb1d",
+}
+
+
+@pytest.mark.parametrize("suite, trials", list(REPORT_DIGESTS))
+def test_suite_reports_keep_their_digests(suite, trials):
+    rep = getattr(properties, f"verify_{suite}")(trials, 3)
+    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+    assert digest == REPORT_DIGESTS[suite, trials], rep
+
+
+def test_random_edges_keeps_the_draws():
+    # kk's 500 draws at seed 3, (n, k, edges) each, against their digest from
+    # when the same draws were returned as a Hypergraph
+    rng = random.Random(3)
+    drawn = []
+    for trial in range(500):
+        k = 3 if trial % 2 == 0 else 4
+        n = rng.randint(k + 1, 10)
+        edges = random_edges(rng, colex_edges(n, k))
+        assert edges and edges == sorted(set(edges)) and Hypergraph(n, k, edges).edges == tuple(edges)
+        drawn.append((n, k, tuple(edges)))
+    assert hashlib.sha256(repr(drawn).encode()).hexdigest() == "d7bbe66c215efa42b13f19f7cfddbf4097574e3094b63ff79018d29c0ef741ce"
 
 
 @pytest.mark.parametrize("scale", [1.0, 1.25, 2.0])
